@@ -1,136 +1,21 @@
-"""Hot pairwise segment-crossing kernels over int64 coordinate arrays.
+"""Hot pairwise segment-crossing kernel over int64 coordinate arrays.
 
-Two interchangeable backends compute the same exact counts:
-
-* "numba": @njit sweep-and-prune over bounding boxes (default when numba
-  imports and GRIDCROSS_JIT is not set to 0/false/off).
-* "numpy": block-vectorized bounding-box filter plus batched classification.
+A block-vectorized bounding-box filter selects the candidate pairs, and a
+batched exact classification, the int64 counterpart of the rational one in
+geom, decides each of them.
 
 All arithmetic is int64. The largest intermediate is 16*C^3 for coordinate
 magnitude C, so callers must keep |coordinate| <= SAFE_COORD; above that the
-counting layer falls back to exact big-integer code.
+counting layer uses its exact big-integer sweep instead.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 from .errors import ValidationError
 
 SAFE_COORD = 800_000  # 16 * SAFE_COORD^3 < 2^63
-
-_flag = os.environ.get("GRIDCROSS_JIT", "1").strip().lower()
-JIT_ENABLED = _flag not in ("0", "false", "off", "no")
-
-if JIT_ENABLED:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        JIT_ENABLED = False
-
-if not JIT_ENABLED:
-    def njit(*args, **kwargs):  # no-op stand-in; the numpy backend is used instead
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(f):
-            return f
-
-        return wrap
-
-DEFAULT_BACKEND = "numba" if JIT_ENABLED else "numpy"
-
-
-def available_backends():
-    return ("numba", "numpy") if JIT_ENABLED else ("numpy",)
-
-
-@njit(cache=True)
-def _pair_crosses(ax, bx, cx, dx):
-    # Exact open-segment crossing test (proper point cross or collinear
-    # overlap) for one pair; mirrors the rational classification in geom.
-    dim = ax.shape[0]
-    pi = -1
-    pj = -1
-    det = 0
-    for i in range(dim):
-        ui = bx[i] - ax[i]
-        vi = dx[i] - cx[i]
-        for j in range(i + 1, dim):
-            dd = vi * (bx[j] - ax[j]) - ui * (dx[j] - cx[j])
-            if dd != 0:
-                pi = i
-                pj = j
-                det = dd
-                break
-        if pi >= 0:
-            break
-    if pi < 0:
-        # parallel directions; crossing needs collinear supports that overlap
-        for i in range(dim):
-            ui = bx[i] - ax[i]
-            wi = cx[i] - ax[i]
-            for j in range(i + 1, dim):
-                if ui * (cx[j] - ax[j]) - wi * (bx[j] - ax[j]) != 0:
-                    return False
-        rr = 0
-        best = 0
-        for i in range(dim):
-            m = bx[i] - ax[i]
-            if m < 0:
-                m = -m
-            if m > best:
-                best = m
-                rr = i
-        span = bx[rr] - ax[rr]
-        pc = cx[rr] - ax[rr]
-        pd = dx[rr] - ax[rr]
-        if span < 0:
-            span = -span
-            pc = -pc
-            pd = -pd
-        lo = pc if pc < pd else pd
-        hi = pc + pd - lo
-        if lo < 0:
-            lo = 0
-        if hi > span:
-            hi = span
-        return lo < hi
-    tn = (dx[pi] - cx[pi]) * (cx[pj] - ax[pj]) - (cx[pi] - ax[pi]) * (dx[pj] - cx[pj])
-    sn = (bx[pi] - ax[pi]) * (cx[pj] - ax[pj]) - (cx[pi] - ax[pi]) * (bx[pj] - ax[pj])
-    for k in range(dim):
-        if tn * (bx[k] - ax[k]) - sn * (dx[k] - cx[k]) != det * (cx[k] - ax[k]):
-            return False
-    if det < 0:
-        det = -det
-        tn = -tn
-        sn = -sn
-    return 0 < tn < det and 0 < sn < det
-
-
-@njit(cache=True)
-def _count_sweep(A, B, lo, hi, per_edge):
-    # edges pre-sorted by lo[:, 0]; prune on boxes, test survivors exactly
-    m = A.shape[0]
-    dim = A.shape[1]
-    total = 0
-    for i in range(m):
-        top = hi[i, 0]
-        for j in range(i + 1, m):
-            if lo[j, 0] > top:
-                break
-            ok = True
-            for ax in range(1, dim):
-                if lo[j, ax] > hi[i, ax] or lo[i, ax] > hi[j, ax]:
-                    ok = False
-                    break
-            if ok and _pair_crosses(A[i], B[i], A[j], B[j]):
-                total += 1
-                per_edge[i] += 1
-                per_edge[j] += 1
-    return total
 
 
 def _minor_index_arrays(dim):
@@ -144,7 +29,8 @@ def _minor_index_arrays(dim):
 
 
 def _crosses_batch(a, b, c, d):
-    # vectorized counterpart of _pair_crosses over row-aligned endpoint arrays
+    # exact open-segment crossing test (proper point cross or collinear
+    # overlap) for each row of the row-aligned endpoint arrays
     n, dim = a.shape
     u = b - a
     v = d - c
@@ -181,6 +67,7 @@ def _crosses_batch(a, b, c, d):
         out |= skew & consistent & inside
 
     if parallel.any():
+        # parallel directions; crossing needs collinear supports that overlap
         if mi.size:
             muw = u[:, mi] * w[:, mj] - w[:, mi] * u[:, mj]
             collinear = (muw == 0).all(axis=1)
@@ -228,17 +115,12 @@ def _count_blocks(A, B, lo, hi, per_edge, block=512, batch=1 << 16):
     return total
 
 
-def count_pairs(A, B, backend=None):
+def count_pairs(A, B):
     """Count crossing pairs among m segments; returns (total, per_edge).
 
-    A and B are (m, dim) int64 arrays of segment endpoints. The result is
-    identical for every backend; only speed differs.
+    A and B are (m, dim) int64 arrays of segment endpoints whose coordinates
+    must lie within +-SAFE_COORD.
     """
-    backend = backend or DEFAULT_BACKEND
-    if backend == "numba" and not JIT_ENABLED:
-        raise ValidationError("numba backend unavailable (GRIDCROSS_JIT disabled or numba missing)")
-    if backend not in ("numba", "numpy"):
-        raise ValidationError(f"unknown backend {backend!r}")
     A = np.ascontiguousarray(A, dtype=np.int64)
     B = np.ascontiguousarray(B, dtype=np.int64)
     m = A.shape[0]
@@ -249,18 +131,4 @@ def count_pairs(A, B, backend=None):
         raise ValidationError(f"coordinates exceed the int64-safe bound {SAFE_COORD}")
     lo = np.minimum(A, B)
     hi = np.maximum(A, B)
-    # sort along the most spread-out axis so the sweep prunes early
-    spread = hi.max(axis=0) - lo.min(axis=0)
-    axis = int(np.argmax(spread))
-    if axis != 0:
-        perm = [axis] + [i for i in range(A.shape[1]) if i != axis]
-        A, B, lo, hi = (np.ascontiguousarray(x[:, perm]) for x in (A, B, lo, hi))
-    order = np.argsort(lo[:, 0], kind="stable")
-    A, B, lo, hi = A[order], B[order], lo[order], hi[order]
-    counts = np.zeros(m, dtype=np.int64)
-    if backend == "numba":
-        total = _count_sweep(A, B, lo, hi, counts)
-    else:
-        total = _count_blocks(A, B, lo, hi, counts)
-    per_edge[order] = counts
-    return int(total), per_edge
+    return _count_blocks(A, B, lo, hi, per_edge), per_edge

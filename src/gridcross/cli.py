@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .bounds import (
@@ -37,7 +36,7 @@ from .enumeration import (
 from .errors import CapExceeded, ValidationError
 from .experiments import ExperimentConfig, emit_report, run_experiment
 from .graph import compute_volume, parse_graph, reduce_edges, serialize_graph
-from .totients import totient_sieve, verify_totient_inequalities
+from .totients import partial_sums, verify_totient_inequalities
 
 
 def _parse_sides(text):
@@ -102,14 +101,13 @@ def _cmd_cross(args):
         "volume": compute_volume(g) if g.vertices else 0,
     }
     if args.method in ("naive", "pruned"):
-        rep = (count_crossings_naive(g) if args.method == "naive"
-               else count_crossings_pruned(g, backend=args.backend))
+        rep = count_crossings_naive(g) if args.method == "naive" else count_crossings_pruned(g)
         doc["method"] = rep.method
         doc["total"] = rep.total
         doc["per_edge_max"] = max(rep.per_edge, default=0)
         doc["per_edge"] = list(rep.per_edge)
     else:
-        rep = count_crossings_pruned(g, backend=args.backend)
+        rep = count_crossings_pruned(g)
         volume = doc["volume"]
         m = len(g.edges)
         p_max = args.p_max or default_p_max(m, max(volume, 1))
@@ -176,15 +174,8 @@ def _cmd_nt(args):
             "true" if rep.log_bound_ok else "false",
         ]))
     else:
-        table = totient_sieve(args.n_max)
         lines.append("n,phi,s1,s2,s3,s3_float")
-        s1 = s2 = 0
-        s3 = Fraction(0)
-        for n in range(1, args.n_max + 1):
-            f = table[n]
-            s1 += f
-            s2 += f * f
-            s3 += Fraction(f * f, n ** 3)
+        for n, f, s1, s2, s3 in partial_sums(args.n_max):
             lines.append(f"{n},{f},{s1},{s2},{s3},{float(s3)!r}")
     _write(args.out, "\n".join(lines) + "\n")
     return 0
@@ -232,7 +223,6 @@ def build_parser():
     p.add_argument("--method", choices=("naive", "pruned", "all-certificates"),
                    default="pruned")
     p.add_argument("--p-max", type=int, dest="p_max")
-    p.add_argument("--backend", choices=("numba", "numpy", "object"))
     p.add_argument("--reduce", action="store_true",
                    help="shrink non-primitive edges to their first lattice step before counting")
     p.add_argument("--out")

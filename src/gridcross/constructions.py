@@ -14,8 +14,8 @@ from fractions import Fraction
 from itertools import product
 
 from .counting import count_crossings_naive
+from .enumeration import candidate_pairs, grid_points
 from .errors import ValidationError
-from .geom import gcd_reduce
 from .graph import GridGraph, make_grid_graph
 
 
@@ -82,27 +82,16 @@ def analytic_skip_bound(k: int, d: int) -> Fraction:
     return total
 
 
-def random_proper_graph(sides, m: int, seed: int, primitive_only: bool = True) -> GridGraph:
+def random_proper_graph(sides, m: int, seed: int) -> GridGraph:
     """Uniform m-edge graph on the full grid given by `sides`, proper by filtering.
 
     Vertices are all grid points; candidate edges are the pairs whose open
     segment avoids every grid point. On a full grid that is the same as the
-    coordinate differences being coprime, so candidates are always primitive
-    regardless of the flag. Deterministic for a fixed seed.
+    coordinate differences being coprime, so candidates are always primitive.
+    Deterministic for a fixed seed.
     """
-    sides = tuple(int(s) for s in sides)
-    if any(s < 1 for s in sides):
-        raise ValidationError(f"grid sides must be positive, got {sides}")
-    verts = [pt for pt in product(*(range(1, s + 1) for s in sides))]
-    n = len(verts)
-    candidates = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            _, g = gcd_reduce((verts[i], verts[j]))
-            if g == 1:
-                candidates.append((i, j))
-    if primitive_only:
-        pass  # implied: candidates on a full grid are exactly the primitive pairs
+    verts = grid_points(sides)
+    candidates = list(candidate_pairs(verts))
     if m > len(candidates):
         raise ValidationError(
             f"requested {m} edges but only {len(candidates)} proper candidates exist")

@@ -4,9 +4,9 @@ Two counters with identical results on every input:
 
 * count_crossings_naive - the reference: every unordered edge pair goes
   through the rational classification in geom. Pure Python, any magnitude.
-* count_crossings_pruned - the fast path: bounding-box pruning plus int64
-  kernels (numba or numpy backend); degrades to exact big-integer sweeping
-  when coordinates are too large for int64.
+* count_crossings_pruned - the fast path: bounding-box pruning plus the
+  vectorized int64 kernel in _kernels; graphs with a coordinate beyond
+  +-SAFE_COORD go through an exact big-integer sweep instead.
 """
 
 from __future__ import annotations
@@ -51,14 +51,8 @@ def count_crossings_naive(g: GridGraph, check_proper: bool = True) -> CrossingRe
     return CrossingReport(total, tuple(per_edge), "naive")
 
 
-def count_crossings_pruned(g: GridGraph, backend: str | None = None,
-                           check_proper: bool = True) -> CrossingReport:
-    """Fast count; totals and per-edge histogram match the naive counter exactly.
-
-    backend: None picks the package default ("numba" when available, else
-    "numpy"); "object" forces the big-integer sweep that exists for
-    coordinates beyond the int64-safe range.
-    """
+def count_crossings_pruned(g: GridGraph, check_proper: bool = True) -> CrossingReport:
+    """Fast count; totals and per-edge histogram match the naive counter exactly."""
     if check_proper:
         _require_proper(g)
     m = len(g.edges)
@@ -66,17 +60,18 @@ def count_crossings_pruned(g: GridGraph, backend: str | None = None,
         return CrossingReport(0, (0,) * m, "pruned")
     pts = g.vertices
     maxc = max(abs(x) for v in pts for x in v) if pts else 0
-    if backend == "object" or (backend is None and maxc > _kernels.SAFE_COORD):
+    if maxc > _kernels.SAFE_COORD:
         total, per_edge = _count_pairs_object(g.segments())
         return CrossingReport(total, tuple(per_edge), "pruned")
     A = np.array([pts[i] for i, _ in g.edges], dtype=np.int64)
     B = np.array([pts[j] for _, j in g.edges], dtype=np.int64)
-    total, per_edge = _kernels.count_pairs(A, B, backend=backend)
+    total, per_edge = _kernels.count_pairs(A, B)
     return CrossingReport(total, tuple(int(x) for x in per_edge), "pruned")
 
 
 def _count_pairs_object(segs):
-    # sweep-and-prune with Python integers; exact at any coordinate size
+    # sweep-and-prune with Python integers; exact at any coordinate size, and
+    # the only path for coordinates beyond the int64 kernel's range
     m = len(segs)
     dim = len(segs[0][0])
     lo = [tuple(min(a[i], b[i]) for i in range(dim)) for a, b in segs]

@@ -42,30 +42,30 @@ class ConflictGraph:
 def grid_points(sides):
     sides = tuple(int(s) for s in sides)
     if not sides or any(s < 1 for s in sides):
-        raise ValidationError(f"grid sides must be positive integers, got {sides}")
+        raise ValidationError(f"grid sides must be positive, got {sides}")
     return [pt for pt in product(*(range(1, s + 1) for s in sides))]
+
+
+def candidate_pairs(pts):
+    """Index pairs (i, j), i < j, of the full grid `pts` whose open segment
+    avoids every grid point, i.e. whose coordinate differences are coprime."""
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            _, g = gcd_reduce((pts[i], pts[j]))
+            if g == 1:
+                yield i, j
 
 
 def build_conflict_graph(sides, cap: int = CANDIDATE_CAP) -> ConflictGraph:
     """Candidate edges of the full grid and their pairwise crossing relation."""
     pts = grid_points(sides)
-    n = len(pts)
     cands = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            _, g = gcd_reduce((pts[i], pts[j]))
-            if g == 1:  # open segment avoids all grid points
-                cands.append((pts[i], pts[j]))
-                if len(cands) > cap:
-                    raise CapExceeded(
-                        f"grid {tuple(sides)} has more than {cap} candidate edges")
-    adjacency = [set() for _ in cands]
-    for i in range(len(cands)):
-        for j in range(i + 1, len(cands)):
-            if segments_cross(cands[i], cands[j]).is_crossing:
-                adjacency[i].add(j)
-                adjacency[j].add(i)
-    return ConflictGraph(tuple(cands), tuple(frozenset(a) for a in adjacency))
+    for i, j in candidate_pairs(pts):
+        cands.append((pts[i], pts[j]))
+        if len(cands) > cap:
+            raise CapExceeded(
+                f"grid {tuple(sides)} has more than {cap} candidate edges")
+    return _conflict_graph(cands)
 
 
 def conflict_graph_from_segments(segments) -> ConflictGraph:
@@ -80,6 +80,10 @@ def conflict_graph_from_segments(segments) -> ConflictGraph:
         cands.append(key)
     if len(cands) > CANDIDATE_CAP:
         raise CapExceeded(f"{len(cands)} candidates exceed the cap {CANDIDATE_CAP}")
+    return _conflict_graph(cands)
+
+
+def _conflict_graph(cands):
     adjacency = [set() for _ in cands]
     for i in range(len(cands)):
         for j in range(i + 1, len(cands)):

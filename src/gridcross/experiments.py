@@ -39,7 +39,7 @@ from .enumeration import (
 )
 from .errors import ValidationError
 from .graph import compute_volume
-from .totients import totient_sieve
+from .totients import partial_sums
 
 KINDS = ("growth3d", "growth_hd", "certificates", "totients", "enumeration")
 
@@ -54,7 +54,6 @@ class ExperimentConfig:
     seeds: tuple = ()
     p_max: int | None = None
     n_max: int = 100
-    c: Fraction | None = None
 
     def validate(self):
         if self.kind not in KINDS:
@@ -179,15 +178,8 @@ def _run_certificates(config):
 
 def _run_totients(config):
     start = time.perf_counter()
-    table = totient_sieve(config.n_max)
-    s1 = s2 = 0
-    s3 = Fraction(0)
     records = []
-    for n in range(1, config.n_max + 1):
-        f = table[n]
-        s1 += f
-        s2 += f * f
-        s3 += Fraction(f * f, n ** 3)
+    for n, f, s1, s2, s3 in partial_sums(config.n_max):
         records.append({
             "n": n,
             "phi": f,

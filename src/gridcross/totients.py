@@ -81,9 +81,9 @@ class TotientSums:
     s3: Fraction  # sum of phi(i)^2 / i^3, exact
 
 
-def totient_sums(n: int, table: TotientTable | None = None) -> TotientSums:
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
+def partial_sums(n: int, table: TotientTable | None = None):
+    """Yield (i, phi(i), s1, s2, s3) for i = 1..n, where s1, s2 and s3 are the
+    running sums of phi, phi^2 and phi^2 / i^3 (s3 an exact Fraction)."""
     if table is None or table.n_max < n:
         table = totient_sieve(n)
     s1 = s2 = 0
@@ -93,6 +93,14 @@ def totient_sums(n: int, table: TotientTable | None = None) -> TotientSums:
         s1 += f
         s2 += f * f
         s3 += Fraction(f * f, i * i * i)
+        yield i, f, s1, s2, s3
+
+
+def totient_sums(n: int, table: TotientTable | None = None) -> TotientSums:
+    if n < 1:
+        raise ValidationError(f"n must be >= 1, got {n}")
+    for _, _, s1, s2, s3 in partial_sums(n, table):
+        pass
     return TotientSums(n, s1, s2, s3)
 
 
@@ -119,19 +127,13 @@ def verify_totient_inequalities(n_max: int, log_c: float = 0.05, window_start: i
     """
     if n_max < window_start:
         raise ValidationError(f"n_max must be >= {window_start}, got {n_max}")
-    table = totient_sieve(n_max)
-    s2 = 0
-    s3 = Fraction(0)
     chomp_ok = True
     last_violation = 0
     log_min = None
     log_ok = True
     samples = []
     sample_every = max(1, n_max // 16)
-    for n in range(1, n_max + 1):
-        f = int(table.phi[n])
-        s2 += f * f
-        s3 += Fraction(f * f, n ** 3)
+    for n, _, _, s2, s3 in partial_sums(n_max):
         cube = n ** 3
         if n >= 2 and s2 >= cube:
             chomp_ok = False

@@ -1,8 +1,5 @@
 import io
 import json
-import os
-import subprocess
-import sys
 from contextlib import redirect_stdout
 
 import pytest
@@ -121,19 +118,6 @@ def test_cli_byte_identical_reruns(argv):
     code2, out2 = run_cli(argv)
     assert code1 == code2 == 0
     assert out1 == out2
-
-
-def test_cli_subprocess_with_jit_disabled_matches_default_backend(tmp_path):
-    # the env flag selects the numpy kernels; results must be identical bytes
-    path = tmp_path / "g.json"
-    run_cli(["gen", "--kind", "bipartite", "--k", "3", "--dim", "3", "--out", str(path)])
-    code, expected = run_cli(["cross", str(path), "--method", "pruned"])
-    assert code == 0
-    env = dict(os.environ, GRIDCROSS_JIT="0")
-    proc = subprocess.run(
-        [sys.executable, "-m", "gridcross.cli", "cross", str(path), "--method", "pruned"],
-        capture_output=True, text=True, env=env, check=True)
-    assert proc.stdout == expected
 
 
 def test_validation_failure_prints_one_line_error(capsys):

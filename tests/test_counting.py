@@ -1,15 +1,28 @@
 import random
 from collections import Counter
+from itertools import product
 
+import numpy as np
 import pytest
 
-from gridcross import _kernels
+from gridcross import _kernels, counting
 from gridcross.constructions import layered_complete_bipartite, random_proper_graph
 from gridcross.counting import count_crossings_naive, count_crossings_pruned
 from gridcross.errors import ImproperGraphError, ValidationError
+from gridcross.geom import segments_cross
 from gridcross.graph import make_grid_graph
 
-BACKENDS = _kernels.available_backends() + ("object",)
+C = _kernels.SAFE_COORD
+
+# Scaling a drawing keeps every crossing. At scale 1 the fixtures run on the
+# numpy int64 kernel; at scale SAFE_COORD their coordinates leave the kernel's
+# range, so the same fixtures check the big-integer sweep. The ids name the
+# path each scale takes.
+SCALES = [pytest.param(1, id="numpy"), pytest.param(C, id="object")]
+
+
+def _scaled(g, factor):
+    return make_grid_graph(g.dim, [tuple(factor * x for x in v) for v in g.vertices], g.edges)
 
 
 def _bipartite_crossings_by_direction_match(g):
@@ -53,26 +66,26 @@ def test_counters_refuse_improper_graphs():
         count_crossings_pruned(g)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_pruned_matches_naive_on_fixtures(backend):
+@pytest.mark.parametrize("scale", SCALES)
+def test_pruned_matches_naive_on_fixtures(scale):
     for k, d in [(2, 3), (3, 3), (2, 4)]:
         g = layered_complete_bipartite(k, d)
         ref = count_crossings_naive(g)
-        got = count_crossings_pruned(g, backend=backend)
+        got = count_crossings_pruned(_scaled(g, scale))
         assert got.total == ref.total
         assert got.per_edge == ref.per_edge
         assert got.method == "pruned"
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_pruned_matches_naive_on_random_graphs(backend):
+@pytest.mark.parametrize("scale", SCALES)
+def test_pruned_matches_naive_on_random_graphs(scale):
     rng = random.Random(41)
     grids = [(6, 6), (4, 4), (3, 3, 3), (4, 2, 4), (2, 2, 2, 2), (3, 2, 2, 2)]
     for trial in range(40):
         sides = grids[trial % len(grids)]
         g = random_proper_graph(sides, m=rng.randint(2, 25), seed=1000 + trial)
         ref = count_crossings_naive(g, check_proper=False)
-        got = count_crossings_pruned(g, backend=backend, check_proper=False)
+        got = count_crossings_pruned(_scaled(g, scale), check_proper=False)
         assert got.total == ref.total
         assert got.per_edge == ref.per_edge
 
@@ -103,8 +116,62 @@ def test_pruned_huge_coordinates_fall_back_to_exact_path():
                         [(0, 1), (2, 3)])
     rep = count_crossings_pruned(g)  # auto-selects the big-integer path
     assert rep.total == 1
+    A = [g.vertices[i] for i, _ in g.edges]
+    B = [g.vertices[j] for _, j in g.edges]
     with pytest.raises(ValidationError, match="int64"):
-        count_crossings_pruned(g, backend=_kernels.available_backends()[0])
+        _kernels.count_pairs(A, B)
+
+
+def _kernel_agrees_with_geom(pairs):
+    a, b, c, d = (np.array(col, dtype=np.int64) for col in zip(*pairs))
+    got = _kernels._crosses_batch(a, b, c, d)
+    want = [segments_cross((p, q), (r, s)).is_crossing for p, q, r, s in pairs]
+    return [pair for pair, x, y in zip(pairs, got, want) if bool(x) != y]
+
+
+def test_kernel_matches_geom_on_envelope_cube_edges():
+    # every ordered pair of directed segments between corners of [-C, C]^3,
+    # where the kernel's intermediates are largest
+    corners = list(product((-C, C), repeat=3))
+    segs = [(p, q) for p in corners for q in corners if p != q]
+    pairs = [s1 + s2 for s1 in segs for s2 in segs]
+    assert len(pairs) == 3136
+    assert _kernel_agrees_with_geom(pairs) == []
+
+
+def test_kernel_matches_geom_on_envelope_sample():
+    rng = random.Random(2024)
+    values = (-C, -(C - 1), 0, C - 1, C)
+    pairs = []
+    while len(pairs) < 20000:
+        p, q, r, s = (tuple(rng.choice(values) for _ in range(3)) for _ in range(4))
+        if p != q and r != s:
+            pairs.append((p, q, r, s))
+    assert _kernel_agrees_with_geom(pairs) == []
+
+
+def test_pruned_path_switches_exactly_past_safe_coord(monkeypatch):
+    base = random_proper_graph((4, 4), m=30, seed=5)
+    ref = count_crossings_naive(base)
+    at_edge = _scaled(base, C // 4)  # max |coordinate| is exactly C
+    past_edge = make_grid_graph(2, [(x + 1, y + 1) for x, y in at_edge.vertices], at_edge.edges)
+    calls = []
+
+    def spy(name, fn):
+        def wrapped(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(_kernels, "count_pairs", spy("kernel", _kernels.count_pairs))
+    monkeypatch.setattr(counting, "_count_pairs_object",
+                        spy("sweep", counting._count_pairs_object))
+    for g, path, max_coord in ((at_edge, "kernel", C), (past_edge, "sweep", C + 1)):
+        assert max(abs(x) for v in g.vertices for x in v) == max_coord
+        calls.clear()
+        rep = count_crossings_pruned(g)
+        assert calls == [path]
+        assert rep.total == ref.total and rep.per_edge == ref.per_edge
 
 
 def test_report_invariant_sum_per_edge():
