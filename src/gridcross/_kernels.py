@@ -1,12 +1,26 @@
 """Hot pairwise segment-crossing kernel over int64 coordinate arrays.
 
-A block-vectorized bounding-box filter selects the candidate pairs, and a
-batched exact classification, the int64 counterpart of the rational one in
-geom, decides each of them.
+A block-vectorized bounding-box filter selects the candidate pairs. In three
+or more dimensions a coplanarity prefilter drops every candidate pair whose
+four endpoints do not lie in one plane, as those of two crossing open
+segments must. A batched exact classification, the int64 counterpart of the rational
+one in geom, decides the pairs that are left.
 
-All arithmetic is int64. The largest intermediate is 16*C^3 for coordinate
-magnitude C, so callers must keep |coordinate| <= SAFE_COORD; above that the
-counting layer uses its exact big-integer sweep instead.
+All arithmetic is int64 and callers must keep |coordinate| <= C = SAFE_COORD;
+above that the counting layer uses its exact big-integer sweep instead. With
+u = b - a, v = d - c and w = c - a every entry is at most 2C in magnitude, so
+every 2x2 minor is at most 8C^2 and every product of a 2x2 minor with an
+entry at most 16C^3 < 2^63: no single product overflows. Sums of two or
+three such products may wrap around, and two checks rely on that being
+harmless:
+
+* the prefilter's det[u, v, w] on axes 0..2, and
+* the consistency check tn*u_k - sn*v_k == det*w_k, whose two sides differ
+  by the 3x3 minor of (u, v, w) on axes (pi, pj, k).
+
+int64 arithmetic is exact modulo 2^64, and a 3x3 determinant with entries of
+magnitude at most 2C is at most 4*(2C)^3 = 32C^3 < 2^64 in magnitude. So
+such a determinant computes as 0 exactly when it is 0.
 """
 
 from __future__ import annotations
@@ -15,7 +29,7 @@ import numpy as np
 
 from .errors import ValidationError
 
-SAFE_COORD = 800_000  # 16 * SAFE_COORD^3 < 2^63
+SAFE_COORD = 800_000  # 32 * SAFE_COORD^3 < 2^64
 
 
 def _minor_index_arrays(dim):
@@ -28,13 +42,11 @@ def _minor_index_arrays(dim):
     return np.array(ii, dtype=np.intp), np.array(jj, dtype=np.intp)
 
 
-def _crosses_batch(a, b, c, d):
+def _crosses_batch(u, v, w):
     # exact open-segment crossing test (proper point cross or collinear
-    # overlap) for each row of the row-aligned endpoint arrays
-    n, dim = a.shape
-    u = b - a
-    v = d - c
-    w = c - a
+    # overlap) of segments a + t*u and c + s*v, w = c - a, for each row of
+    # the row-aligned (n, dim) arrays
+    n, dim = u.shape
     rows = np.arange(n)
 
     mi, mj = _minor_index_arrays(dim)
@@ -76,7 +88,7 @@ def _crosses_batch(a, b, c, d):
         rr = np.argmax(np.abs(u), axis=1)
         span = u[rows, rr]
         pc = w[rows, rr]
-        pd = (d - a)[rows, rr]
+        pd = (w + v)[rows, rr]  # d - a
         sgn = np.where(span < 0, -1, 1)
         span = span * sgn
         pc = pc * sgn
@@ -88,9 +100,35 @@ def _crosses_batch(a, b, c, d):
     return out
 
 
+def _crossing_rows(At, Ut, si, sj):
+    """Mask of the k for which segment si[k] crosses segment sj[k].
+
+    At and Ut are (dim, m) arrays: column e holds the start a and the
+    direction b - a of segment e.
+    """
+    out = np.zeros(si.size, dtype=bool)
+    rows = slice(None)
+    if At.shape[0] >= 3:
+        u = Ut[:3].take(si, axis=1)
+        v = Ut[:3].take(sj, axis=1)
+        w = At[:3].take(sj, axis=1) - At[:3].take(si, axis=1)
+        det = (u[0] * (v[1] * w[2] - v[2] * w[1]) + u[1] * (v[2] * w[0] - v[0] * w[2])
+               + u[2] * (v[0] * w[1] - v[1] * w[0]))
+        rows = np.flatnonzero(det == 0)
+        si = si[rows]
+        sj = sj[rows]
+    u = Ut.take(si, axis=1).T
+    v = Ut.take(sj, axis=1).T
+    w = (At.take(sj, axis=1) - At.take(si, axis=1)).T
+    out[rows] = _crosses_batch(u, v, w)
+    return out
+
+
 def _count_blocks(A, B, lo, hi, per_edge, block=512, batch=1 << 16):
     m = A.shape[0]
     dim = A.shape[1]
+    At = np.ascontiguousarray(A.T)
+    Ut = np.ascontiguousarray((B - A).T)
     total = 0
     for i0 in range(0, m, block):
         i1 = min(m, i0 + block)
@@ -108,7 +146,7 @@ def _count_blocks(A, B, lo, hi, per_edge, block=512, batch=1 << 16):
             for c0 in range(0, ii.size, batch):
                 si = ii[c0:c0 + batch]
                 sj = jj[c0:c0 + batch]
-                crossed = _crosses_batch(A[si], B[si], A[sj], B[sj])
+                crossed = _crossing_rows(At, Ut, si, sj)
                 total += int(crossed.sum())
                 np.add.at(per_edge, si[crossed], 1)
                 np.add.at(per_edge, sj[crossed], 1)

@@ -21,10 +21,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import comb
 
 from .counting import count_crossings_naive, _require_proper
 from .errors import ValidationError
+from .geom import gcd_reduce
 from .graph import GridGraph, compute_volume
 from .totients import edge_pgrid_points
 
@@ -77,14 +78,7 @@ def lower_bound_essential_pgrid(g: GridGraph, p_max: int | None = None,
     if check_proper:
         _require_proper(g)
     segs = g.segments()
-    bad = []
-    for seg in segs:
-        diffs = [b - a for a, b in zip(*seg)]
-        gg = 0
-        for x in diffs:
-            gg = gcd(gg, abs(x))
-        if gg != 1:
-            bad.append(seg)
+    bad = [seg for seg in segs if gcd_reduce(seg)[1] != 1]
     if bad:
         raise ValidationError(
             f"{len(bad)} non-primitive edge(s), first {bad[0][0]}->{bad[0][1]}; "

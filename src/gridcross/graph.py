@@ -76,11 +76,15 @@ def make_grid_graph(dim, vertices, edges) -> GridGraph:
 def validate_proper(g: GridGraph):
     """All (edge, vertex_index) pairs where the vertex lies on the open edge.
 
-    Empty result means no edge passes through a vertex.
+    Empty result means no edge passes through a vertex. An edge whose
+    coordinate differences have gcd 1 has no lattice point strictly inside,
+    so only the other edges are scanned against the vertices.
     """
     violations = []
     for edge in g.edges:
         seg = g.segment(edge)
+        if gcd_reduce(seg)[1] == 1:
+            continue
         for idx, x in enumerate(g.vertices):
             if idx in edge:
                 continue

@@ -1,16 +1,18 @@
 import random
 from collections import Counter
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridcross import _kernels, counting
 from gridcross.constructions import layered_complete_bipartite, random_proper_graph
 from gridcross.counting import count_crossings_naive, count_crossings_pruned
 from gridcross.errors import ImproperGraphError, ValidationError
-from gridcross.geom import segments_cross
-from gridcross.graph import make_grid_graph
+from gridcross.geom import CrossKind, segments_cross
+from gridcross.graph import make_grid_graph, validate_proper
 
 C = _kernels.SAFE_COORD
 
@@ -123,10 +125,26 @@ def test_pruned_huge_coordinates_fall_back_to_exact_path():
 
 
 def _kernel_agrees_with_geom(pairs):
+    # segment k (a -> b) against segment n + k (c -> d), through the same
+    # coplanarity prefilter and exact test that count_pairs runs
     a, b, c, d = (np.array(col, dtype=np.int64) for col in zip(*pairs))
-    got = _kernels._crosses_batch(a, b, c, d)
+    At = np.concatenate([a, c]).T
+    Ut = np.concatenate([b - a, d - c]).T
+    k = np.arange(len(pairs))
+    got = _kernels._crossing_rows(At, Ut, k, k + len(pairs))
     want = [segments_cross((p, q), (r, s)).is_crossing for p, q, r, s in pairs]
     return [pair for pair, x, y in zip(pairs, got, want) if bool(x) != y]
+
+
+def _det3(u, v, w, axes):
+    i, j, k = axes
+    return (u[i] * (v[j] * w[k] - v[k] * w[j]) - u[j] * (v[i] * w[k] - v[k] * w[i])
+            + u[k] * (v[i] * w[j] - v[j] * w[i]))
+
+
+def _uvw(p, q, r, s):
+    return ([y - x for x, y in zip(p, q)], [y - x for x, y in zip(r, s)],
+            [y - x for x, y in zip(p, r)])
 
 
 def test_kernel_matches_geom_on_envelope_cube_edges():
@@ -148,6 +166,43 @@ def test_kernel_matches_geom_on_envelope_sample():
         if p != q and r != s:
             pairs.append((p, q, r, s))
     assert _kernel_agrees_with_geom(pairs) == []
+
+
+def test_kernel_matches_geom_on_4d_envelope_sample():
+    # The prefilter looks only at axes 0..2, so a quarter of the sample is
+    # drawn coplanar on those axes; there the fourth axis alone decides.
+    rng = random.Random(2025)
+    values = (-C, -(C - 1), 0, C - 1, C)
+    flat, free = [], []
+    while len(flat) < 5000 or len(free) < 15000:
+        xs = rng.choices(values, k=16)
+        p, q, r, s = (tuple(xs[i:i + 4]) for i in range(0, 16, 4))
+        if p == q or r == s:
+            continue
+        if _det3(*_uvw(p, q, r, s), (0, 1, 2)) == 0:
+            flat.append((p, q, r, s))
+        else:
+            free.append((p, q, r, s))
+    pairs = flat[:5000] + free[:15000]
+    skew = sum(any(_det3(*_uvw(*pair), axes) for axes in combinations(range(4), 3))
+               for pair in pairs[:5000])
+    crossing = sum(segments_cross(pair[:2], pair[2:]).is_crossing for pair in pairs)
+    assert skew > 4000 and crossing >= 10
+    assert _kernel_agrees_with_geom(pairs) == []
+
+
+def test_crossing_pair_with_int64_overflowing_determinant_terms_is_counted():
+    # two long diagonals of [-C, C]^3 crossing at the origin, almost
+    # antiparallel: the three positive Sarrus monomials of det[u, v, w] sum
+    # below -2^63, so an int64 evaluation that adds them first wraps around
+    a, b = (-C, -C, -C), (C, C, C)
+    c, d = (C, C - 2, C), (-C, -(C - 2), -C)
+    u, v, w = _uvw(a, b, c, d)
+    assert u[0] * v[1] * w[2] + u[1] * v[2] * w[0] + u[2] * v[0] * w[1] < -2 ** 63
+    assert _det3(u, v, w, (0, 1, 2)) == 0
+    assert segments_cross((a, b), (c, d)).kind is CrossKind.POINT_CROSS
+    assert _kernel_agrees_with_geom([(a, b, c, d)]) == []
+    assert count_crossings_pruned(make_grid_graph(3, [a, b, c, d], [(0, 1), (2, 3)])).total == 1
 
 
 def test_pruned_path_switches_exactly_past_safe_coord(monkeypatch):
@@ -180,3 +235,38 @@ def test_report_invariant_sum_per_edge():
         g = random_proper_graph((5, 5), m=rng.randint(2, 20), seed=trial)
         for rep in (count_crossings_naive(g), count_crossings_pruned(g)):
             assert sum(rep.per_edge) == 2 * rep.total
+
+
+@st.composite
+def _proper_graphs(draw):
+    # 4 to 12 points of a small box and up to 30 edges among them; edges
+    # through a vertex are dropped, so non-primitive edges that stay can
+    # still overlap collinearly
+    dim = draw(st.integers(2, 4))
+    n = draw(st.integers(4, 12))
+    side = 4 if dim == 2 else 3
+    pts = draw(st.lists(st.tuples(*[st.integers(0, side - 1)] * dim), min_size=n, max_size=n,
+                        unique=True))
+    pairs = draw(st.permutations(list(combinations(range(n), 2))))
+    g = make_grid_graph(dim, pts, pairs[:draw(st.integers(1, 30))])
+    bad = {e for e, _ in validate_proper(g)}
+    return make_grid_graph(dim, pts, [e for e in g.edges if e not in bad])
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_pruned_matches_naive_under_lattice_symmetries(data):
+    # a translation up to the edge of the kernel's range, an axis
+    # permutation (in 4-d it moves the fourth axis into the prefilter's axes
+    # 0..2) and reflections keep every crossing and every edge index
+    g = data.draw(_proper_graphs())
+    dim = g.dim
+    perm = data.draw(st.permutations(range(dim)))
+    signs = data.draw(st.lists(st.sampled_from((1, -1)), min_size=dim, max_size=dim))
+    shift = data.draw(st.lists(st.integers(-(C - 3), C - 3), min_size=dim, max_size=dim))
+    moved = make_grid_graph(dim, [tuple(signs[a] * v[perm[a]] + shift[a] for a in range(dim))
+                                  for v in g.vertices], g.edges)
+    ref = count_crossings_naive(g)
+    for h in (g, moved):
+        rep = count_crossings_pruned(h)
+        assert (rep.total, rep.per_edge) == (ref.total, ref.per_edge)

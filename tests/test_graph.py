@@ -1,9 +1,11 @@
 import random
+from collections import Counter
+from itertools import product
 
 import pytest
 
 from gridcross.errors import ValidationError
-from gridcross.geom import interior_lattice_points
+from gridcross.geom import interior_lattice_points, point_on_open_segment
 from gridcross.graph import (
     compute_volume,
     make_grid_graph,
@@ -17,6 +19,30 @@ from gridcross.graph import (
 def test_validate_proper_flags_vertex_on_edge():
     g = make_grid_graph(2, [(1, 1), (2, 2), (3, 3)], [(0, 2)])
     assert validate_proper(g) == [((0, 2), 1)]
+
+
+def _validate_proper_all_vertices(g):
+    # reference: every edge, primitive or not, against every vertex
+    return [(e, idx) for e in g.edges for idx, x in enumerate(g.vertices)
+            if idx not in e and point_on_open_segment(x, g.segment(e))]
+
+
+def test_validate_proper_matches_all_vertex_scan():
+    # dense point sets in small boxes: many edges are non-primitive and carry
+    # several vertices, and the violation lists must agree in order too
+    rng = random.Random(17)
+    crowded = 0
+    for trial in range(40):
+        dim = 1 + trial % 4
+        side = (9, 6, 4, 3)[dim - 1]
+        grid = list(product(range(side), repeat=dim))
+        pts = rng.sample(grid, 2 * len(grid) // 3)
+        pairs = [(i, j) for i in range(len(pts)) for j in range(i + 1, len(pts))]
+        g = make_grid_graph(dim, pts, rng.sample(pairs, min(len(pairs), 40)))
+        want = _validate_proper_all_vertices(g)
+        assert validate_proper(g) == want
+        crowded += sum(n >= 2 for n in Counter(e for e, _ in want).values())
+    assert crowded >= 80
 
 
 def test_validate_proper_empty_edge_set():
