@@ -7,6 +7,9 @@ subsets are exactly the independent sets of the conflict graph. Counts are
 edge-subset counts: a graph is identified with its edge set over the full
 grid, so isolated vertices never multiply anything.
 
+Spanning trees are counted by a frontier DP over the candidate edges, with
+state (component partition, later edges still usable); a tree is counted
+once, on the one include/exclude path that takes exactly its edges.
 Everything here is deliberately capped: 64 candidates for counting, volume 9
 for spanning trees. Caps raise CapExceeded instead of truncating.
 """
@@ -226,56 +229,53 @@ def bose_formula(sides) -> int:
 def count_crossing_free_spanning_trees(sides, cap: int = CANDIDATE_CAP) -> int:
     """Spanning trees of the candidate graph with pairwise non-crossing edges.
 
-    Include/exclude search over candidate edges: including an edge merges
-    components and bans its conflicts; branches that can no longer connect
-    the remaining components are pruned.
+    Frontier DP over the candidate edges in conflict-graph order. A state is
+    one int packing each point's component (a point mask) and the mask of
+    later candidates still usable (no chosen edge conflicts with them, and
+    they join two components); it maps to its number of ways. Edge e leaves
+    every state, and where e is usable the state also merges e's components
+    and bans e's conflicts and the other edges between those components. A
+    tree is the one path that takes exactly its edges, so it is counted
+    once, when its last merge leaves one component. States with fewer usable
+    edges than components - 1 cannot finish and are dropped.
     """
     pts = grid_points(sides)
     volume = len(pts)
     if volume > TREE_VOLUME_CAP:
         raise CapExceeded(f"grid volume {volume} exceeds the spanning-tree cap {TREE_VOLUME_CAP}")
     cg = build_conflict_graph(sides, cap)
-    index = {p: i for i, p in enumerate(pts)}
-    edges = [(index[a], index[b]) for a, b in cg.candidates]
-    conflict_mask = _neighbor_masks(cg.adjacency)
-    t = len(edges)
-
-    def find(parent, x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def can_connect(parent, comps, idx, banned):
-        p = list(parent)
-        c = comps
-        for e in range(idx, t):
-            if banned >> e & 1:
-                continue
-            ra, rb = find(p, edges[e][0]), find(p, edges[e][1])
-            if ra != rb:
-                p[ra] = rb
-                c -= 1
-                if c == 1:
-                    return True
-        return c == 1
-
-    def rec(idx, parent, comps, banned):
-        if comps == 1:
-            return 1
-        if idx == t or not can_connect(parent, comps, idx, banned):
-            return 0
-        total = rec(idx + 1, parent, comps, banned)  # exclude edges[idx]
-        if not (banned >> idx & 1):
-            a, b = edges[idx]
-            ra, rb = find(parent, a), find(parent, b)
-            if ra != rb:
-                child = list(parent)
-                child[ra] = rb
-                total += rec(idx + 1, child, comps - 1, banned | conflict_mask[idx])
-        return total
-
-    return rec(0, list(range(volume)), volume, 0)
+    ends = [(pts.index(a), pts.index(b)) for a, b in cg.candidates]
+    conflicts = _neighbor_masks(cg.adjacency)
+    t, full, usable = cg.size, (1 << volume) - 1, (1 << cg.size) - 1
+    # Point p's component sits at bit t + volume*p of the key. For a point set
+    # S, inc[S] masks the candidates touching S and adding X * rep[S] adds X to
+    # the component of every point in S.
+    inc, rep, start = [0] * (1 << volume), [0] * (1 << volume), usable
+    for p in range(volume):
+        touching = sum(1 << e for e, ab in enumerate(ends) if p in ab)
+        for s in range(1 << p):
+            inc[s | 1 << p] = inc[s] | touching
+            rep[s | 1 << p] = rep[s] | 1 << (t + volume * p)
+        start += (1 << p) * rep[1 << p]
+    states = [{} for _ in range(volume)] + [{start: 1}]  # states[c]: c components
+    total = int(volume == 1)  # a single point is its own spanning tree
+    for e, (a, b) in enumerate(ends):
+        bit, ban, nxt = 1 << e, conflicts[e], [{} for _ in range(volume + 1)]
+        for comps in range(2, volume + 1):
+            keep, merged = nxt[comps], nxt[comps - 1]
+            for key, ways in states[comps].items():
+                rest = key & ~bit
+                if (rest & usable).bit_count() >= comps - 1:
+                    keep[rest] = keep.get(rest, 0) + ways
+                if key & bit and comps == 2:
+                    total += ways
+                elif key & bit:
+                    ca, cb = key >> (t + volume * a) & full, key >> (t + volume * b) & full
+                    child = (rest + cb * rep[ca] + ca * rep[cb]) & ~(ban | (inc[ca] & inc[cb]))
+                    if (child & usable).bit_count() >= comps - 2:
+                        merged[child] = merged.get(child, 0) + ways
+        states = nxt
+    return total
 
 
 def ncs_upper_formula(N: int, d: int) -> int:

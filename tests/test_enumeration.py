@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
+from math import prod
 
 import numpy as np
 import pytest
@@ -79,14 +80,27 @@ def test_spanning_trees_examples():
     assert count_crossing_free_spanning_trees((2, 2)) == 12
     assert count_crossing_free_spanning_trees((1, 3)) == 1
     assert count_crossing_free_spanning_trees((1, 2)) == 1
+    assert count_crossing_free_spanning_trees((3, 3)) == 24965
+    assert count_crossing_free_spanning_trees((2, 2, 2)) == 120000
 
 
-def test_spanning_trees_2x2_against_subset_filter():
+SUBSET_FILTER_GRIDS = {
+    (1,): 1, (1, 1): 1, (1, 1, 1): 1, (1, 4): 1, (1, 6): 1, (2, 2): 12,
+    (2, 3): 169, (3, 2): 169, (1, 2, 3): 169, (2, 1, 3): 169, (1, 2, 2): 12,
+}
+
+
+@pytest.mark.parametrize("sides, expected", SUBSET_FILTER_GRIDS.items(),
+                         ids=["x".join(map(str, s)) for s in SUBSET_FILTER_GRIDS])
+def test_spanning_trees_against_subset_filter(sides, expected):
+    """Brute force: every (volume - 1)-subset of candidates that has no
+    conflicting pair and no cycle (union-find) is a tree."""
     from gridcross.counting import count_crossings_naive
+    from gridcross.enumeration import grid_points
     from gridcross.graph import make_grid_graph
 
-    cg = build_conflict_graph((2, 2))
-    pts = sorted({p for seg in cg.candidates for p in seg})
+    cg = build_conflict_graph(sides)
+    pts = grid_points(sides)
     index = {p: i for i, p in enumerate(pts)}
     trees = []
     for subset in combinations(range(cg.size), len(pts) - 1):
@@ -110,17 +124,41 @@ def test_spanning_trees_2x2_against_subset_filter():
             parent[ra] = rb
         if ok:
             trees.append(subset)
-    assert len(trees) == 12 == count_crossing_free_spanning_trees((2, 2))
+    assert len(trees) == expected == count_crossing_free_spanning_trees(sides)
     # each enumerated tree really is a crossing-free drawing
     for subset in trees:
         edges = [(index[a], index[b]) for a, b in (cg.candidates[e] for e in subset)]
-        g = make_grid_graph(2, pts, edges)
+        g = make_grid_graph(len(sides), pts, edges)
         assert count_crossings_naive(g).total == 0
 
 
-def test_spanning_trees_cap():
-    with pytest.raises(CapExceeded):
-        count_crossing_free_spanning_trees((2, 5))
+def test_spanning_trees_invariant_under_axis_permutation_and_unit_axes():
+    """Every grid of volume <= 9 in up to 4 dimensions has the count of its
+    sorted non-unit sides: permuting the axes or inserting length-1 axes is
+    an isometry of the point set, so the tree count cannot change."""
+    counts = {}
+    for dim in range(1, 5):
+        for sides in product(range(1, 10), repeat=dim):
+            if prod(sides) <= 9:
+                core = tuple(sorted(s for s in sides if s > 1)) or (1,)
+                if core not in counts:
+                    counts[core] = count_crossing_free_spanning_trees(core)
+                assert count_crossing_free_spanning_trees(sides) == counts[core], sides
+
+
+def test_spanning_trees_cap(monkeypatch):
+    import gridcross.enumeration as enumeration
+
+    with pytest.raises(CapExceeded, match="candidate edges"):
+        count_crossing_free_spanning_trees((3, 3), cap=10)
+
+    def no_conflict_graph(*args, **kwargs):
+        raise AssertionError("conflict graph built past the volume cap")
+
+    monkeypatch.setattr(enumeration, "build_conflict_graph", no_conflict_graph)
+    for sides in [(2, 5), (10,), (1, 10, 1)]:
+        with pytest.raises(CapExceeded, match="spanning-tree cap"):
+            count_crossing_free_spanning_trees(sides)
 
 
 def test_memoized_counter_equals_subset_dp():
