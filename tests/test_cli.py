@@ -127,6 +127,16 @@ def test_validation_failure_prints_one_line_error(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("log_c", ["nan", "inf", "-inf"])
+def test_nt_check_rejects_non_finite_log_c(capsys, log_c):
+    code = main(["nt", "--n-max", "50", "--check", f"--log-c={log_c}"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "log_c" in captured.err
+    assert captured.err.count("\n") == 1
+
+
 def test_cross_reduce_preprocesses_non_primitive_edges(tmp_path):
     path = tmp_path / "long.json"
     path.write_text('{"dim":2,"vertices":[[0,0],[4,6]],"edges":[[0,1]]}')

@@ -1,13 +1,20 @@
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
+import numpy as np
 import pytest
 
+from gridcross import totients
 from gridcross.errors import ValidationError
 from gridcross.totients import (
+    TotientReport,
+    TotientSums,
+    TotientTable,
     edge_pgrid_points,
     essential_level,
+    partial_sums,
     totient_sieve,
     totient_sums,
     verify_totient_inequalities,
@@ -137,3 +144,104 @@ def test_verify_totient_inequalities_small():
 def test_verify_requires_window():
     with pytest.raises(ValidationError):
         verify_totient_inequalities(10)
+
+
+def test_sieve_matches_sympy_totient():
+    sympy = pytest.importorskip("sympy")
+    t = totient_sieve(2000)
+    assert [t[n] for n in range(1, 2001)] == [int(sympy.totient(n)) for n in range(1, 2001)]
+
+
+@lru_cache(maxsize=None)
+def _rows(n):
+    # the reduced per-row scan, computed once per length
+    return tuple(partial_sums(n))
+
+
+def _oracle_report(n_max, log_c=0.05, window_start=27):
+    """The inequality report from the reduced partial_sums rows: float(s3) and
+    an exact Fraction comparison at every n of the window."""
+    rows = _rows(400) if n_max <= 400 else _rows(n_max)
+    chomp_ok = True
+    last_violation = 0
+    log_min = None
+    log_ok = True
+    samples = []
+    sample_every = max(1, n_max // 16)
+    for n, _, _, s2, s3 in rows[:n_max]:
+        cube = n ** 3
+        if n >= 2 and s2 >= cube:
+            chomp_ok = False
+        if 11 * s2 < cube:
+            last_violation = n
+        if n >= window_start:
+            ln_n = math.log(n)
+            ratio = float(s3) / ln_n
+            if log_min is None or ratio < log_min:
+                log_min = ratio
+            if s3 < Fraction(log_c * ln_n):
+                log_ok = False
+        if n % sample_every == 0 or n == n_max:
+            samples.append((n, s2 / cube))
+    return TotientReport(n_max, chomp_ok, last_violation + 1, window_start, log_min,
+                         log_c, log_ok, tuple(samples))
+
+
+def test_verify_matches_partial_sums_oracle():
+    for n_max in [*range(27, 401), 2048]:
+        rep = verify_totient_inequalities(n_max)
+        assert rep == _oracle_report(n_max), n_max
+        assert rep.exact_fallbacks == 0
+
+
+def test_verify_log_bound_at_the_minimum_ratio_matches_oracle():
+    seen = set()
+    for n_max in (27, 100, 400, 2048):
+        low = _oracle_report(n_max).log_ratio_min
+        for log_c in (math.nextafter(low, 0), low, math.nextafter(low, 1)):
+            rep = verify_totient_inequalities(n_max, log_c=log_c)
+            oracle = _oracle_report(n_max, log_c=log_c)
+            assert rep == oracle, (n_max, log_c)
+            seen.add(rep.log_bound_ok)
+    assert seen == {True, False}
+
+
+def test_verify_exact_fallback_matches_oracle(monkeypatch):
+    monkeypatch.setattr(totients, "_S3_BITS", 20)
+    for n_max, window_start in ((27, 27), (400, 27), (400, 2)):
+        low = _oracle_report(n_max, window_start=window_start).log_ratio_min
+        for log_c in (0.05, low, math.nextafter(low, 1)):
+            rep = verify_totient_inequalities(n_max, log_c=log_c, window_start=window_start)
+            assert rep == _oracle_report(n_max, log_c=log_c, window_start=window_start)
+            assert rep.exact_fallbacks > 0
+
+
+def test_totient_sums_matches_last_partial_sums_row():
+    table = totient_sieve(4097)
+    for n, _, s1, s2, s3 in _rows(300):
+        assert totient_sums(n, table) == TotientSums(n, s1, s2, s3)
+    n, _, s1, s2, s3 = _rows(4097)[-1]
+    assert totient_sums(4097) == TotientSums(n, s1, s2, s3)
+
+
+def test_totient_sums_beyond_int64_squares():
+    # synthetic values with f^2 > 2^63: an int64 vectorised s2 would wrap
+    values = [0] + [3_100_000_000 + 7 * i for i in range(1, 41)]
+    table = TotientTable(40, np.array(values, dtype=np.int64))
+    assert values[1] ** 2 > 2 ** 63
+    s = totient_sums(40, table)
+    assert s.s1 == sum(values)
+    assert s.s2 == sum(f * f for f in values)
+    assert s.s3 == sum(Fraction(values[i] ** 2, i ** 3) for i in range(1, 41))
+
+
+@pytest.mark.parametrize("window_start", [0, 1, -3])
+def test_verify_rejects_window_without_positive_log(window_start):
+    with pytest.raises(ValidationError, match="window_start"):
+        verify_totient_inequalities(50, window_start=window_start)
+
+
+@pytest.mark.parametrize("log_c", [math.nan, math.inf, -math.inf, 1e308])
+def test_verify_rejects_non_finite_log_bound(log_c):
+    with pytest.raises(ValidationError, match="log_c"):
+        verify_totient_inequalities(50, log_c=log_c)
