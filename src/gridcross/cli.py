@@ -24,6 +24,7 @@ from .bounds import (
 from .constructions import layered_complete_bipartite, random_proper_graph, tile_bipartite
 from .counting import count_crossings_naive, count_crossings_pruned
 from .enumeration import (
+    CANDIDATE_CAP,
     TREE_VOLUME_CAP,
     bose_formula,
     build_conflict_graph,
@@ -145,7 +146,7 @@ def _cmd_enum(args):
         "volume": str(volume),
         "candidates": str(cg.size),
         "conflicts": str(cg.conflict_count),
-        "max_edges": str(max_crossing_free_edges(sides, cap=args.cap)),
+        "max_edges": str(max_crossing_free_edges(cg)),
         "bose": str(bose_formula(sides)),
         "subgraphs": str(count_crossing_free_subgraphs(cg)),
         "matchings": str(count_crossing_free_matchings(cg)),
@@ -230,7 +231,7 @@ def build_parser():
 
     p = sub.add_parser("enum", help="exact crossing-free counts on a small grid")
     p.add_argument("--sides", required=True, help="grid shape, e.g. 2x2 or 2x2x2")
-    p.add_argument("--cap", type=int, default=64)
+    p.add_argument("--cap", type=int, default=CANDIDATE_CAP)
     p.add_argument("--trees", action="store_true",
                    help="require the spanning-tree count (errors above the volume cap)")
     p.add_argument("--out")

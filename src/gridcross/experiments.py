@@ -202,7 +202,7 @@ def _run_enumeration(config):
         cg = build_conflict_graph(sides)
         subgraphs = count_crossing_free_subgraphs(cg)
         matchings = count_crossing_free_matchings(cg)
-        mis = max_crossing_free_edges(sides)
+        mis = max_crossing_free_edges(cg)
         bose = bose_formula(sides)
         upper = ncs_upper_formula(volume, len(sides)) if volume >= 2 else None
         trees = count_crossing_free_spanning_trees(sides) if volume <= TREE_VOLUME_CAP else None

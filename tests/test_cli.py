@@ -65,6 +65,15 @@ def test_enum_counts_and_caps():
     assert (doc["subgraphs"], doc["matchings"], doc["spanning_trees"]) == ("48", "9", "12")
     code, _ = run_cli(["enum", "--sides", "9x9"])
     assert code == 3
+    # the default --cap is CANDIDATE_CAP (141): 4x4 (86 candidates) runs,
+    # 2x12 (166) does not
+    code, out = run_cli(["enum", "--sides", "4x4"])
+    assert code == 0
+    assert json.loads(out)["candidates"] == "86"
+    code, _ = run_cli(["enum", "--sides", "4x4", "--cap", "85"])
+    assert code == 3
+    code, _ = run_cli(["enum", "--sides", "2x12"])
+    assert code == 3
     code, _ = run_cli(["enum", "--sides", "2x5", "--trees"])
     assert code == 3  # volume 10 exceeds the spanning-tree cap
 

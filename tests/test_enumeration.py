@@ -1,37 +1,75 @@
 import random
 from fractions import Fraction
-from itertools import combinations, product
-from math import prod
+from itertools import combinations, islice, product
+from math import gcd, prod
 
 import numpy as np
 import pytest
 
 from gridcross.enumeration import (
+    CANDIDATE_CAP,
     ConflictGraph,
     bose_formula,
     build_conflict_graph,
+    candidate_pairs,
     conflict_graph_from_segments,
     count_crossing_free_matchings,
     count_crossing_free_spanning_trees,
     count_crossing_free_subgraphs,
     count_independent_sets,
+    grid_points,
     max_crossing_free_edges,
     ncs_lower_formula,
     ncs_upper_formula,
 )
+from gridcross.enumeration import _independent
 from gridcross.errors import CapExceeded, ValidationError
+from gridcross.geom import segments_cross
 
 
 def brute_force_independent_sets(adjacency):
-    """Subset DP over bitmasks; independent of the branching counter."""
+    """Number of independent sets and the size of the largest, by a subset DP
+    over bitmasks; independent of the branching search."""
     t = len(adjacency)
     nbr = [sum(1 << j for j in a) for a in adjacency]
     valid = np.zeros(1 << t, dtype=bool)
+    size = np.zeros(1 << t, dtype=np.int64)
     valid[0] = True
     for v in range(t):
         rs = np.arange(1 << v)
         valid[(1 << v) + rs] = valid[rs] & ((rs & nbr[v]) == 0)
-    return int(valid.sum())
+        size[(1 << v) + rs] = size[rs] + 1
+    return int(valid.sum()), int(size[valid].max())
+
+
+def random_adjacency(rng, t):
+    adjacency = [set() for _ in range(t)]
+    for i in range(t):
+        for j in range(i + 1, t):
+            if rng.random() < rng.choice([0.1, 0.3, 0.6]):
+                adjacency[i].add(j)
+                adjacency[j].add(i)
+    return [frozenset(a) for a in adjacency]
+
+
+def side_tuples(length, volume):
+    """Every tuple of `length` positive sides whose product is <= volume."""
+    if length == 0:
+        yield ()
+        return
+    for s in range(1, volume + 1):
+        for rest in side_tuples(length - 1, volume // s):
+            yield (s,) + rest
+
+
+def core(sides):
+    """The sorted non-unit sides: the same point set up to an isometry."""
+    return tuple(sorted(s for s in sides if s > 1)) or (1,)
+
+
+def candidate_count(sides, limit):
+    """Candidates of the grid, counted up to limit + 1."""
+    return sum(1 for _ in islice(candidate_pairs(grid_points(sides)), limit + 1))
 
 
 def test_build_conflict_graph_examples():
@@ -44,8 +82,17 @@ def test_build_conflict_graph_examples():
 
 
 def test_build_conflict_graph_cap():
-    with pytest.raises(CapExceeded):
-        build_conflict_graph((4, 4))
+    """The cap counts candidates exactly and never truncates: a grid passes at
+    cap = its size and raises one below, the default cap admits 2x11 (141
+    candidates), and the next grids, 2x12 and 2x2x5 (166), raise."""
+    for sides, size in {(4, 4): 86, (2, 11): 141, (2, 3, 3): 137}.items():
+        assert build_conflict_graph(sides, cap=size).size == size
+        with pytest.raises(CapExceeded, match="candidate edges"):
+            build_conflict_graph(sides, cap=size - 1)
+    assert build_conflict_graph((2, 11)).size == CANDIDATE_CAP
+    for sides in [(2, 12), (2, 2, 5), (5, 5)]:
+        with pytest.raises(CapExceeded):
+            build_conflict_graph(sides)
 
 
 def test_conflict_graph_from_layered_bipartite_edges():
@@ -76,6 +123,58 @@ def test_count_matchings_examples():
     assert count_crossing_free_matchings(build_conflict_graph((1, 3))) == 3
 
 
+def brute_force_matchings(sides):
+    """Lists the matchings by backtracking over the candidate segments (point
+    pairs with coprime coordinate differences) without the conflict graph: a
+    segment joins when it shares no point with the matching and
+    segments_cross finds no crossing with any segment in it."""
+    pts = grid_points(sides)
+    segs = [(a, b) for a, b in combinations(pts, 2)
+            if gcd(*(q - p for p, q in zip(a, b))) == 1]
+
+    def extend(start, chosen, used):
+        total = 1
+        for e in range(start, len(segs)):
+            a, b = segs[e]
+            if a not in used and b not in used and not any(
+                    segments_cross(segs[e], segs[f]).is_crossing for f in chosen):
+                total += extend(e + 1, chosen + [e], used | {a, b})
+        return total
+
+    return extend(0, [], frozenset())
+
+
+# Every grid with at most 30 candidates. A path on n points has Fib(n + 1)
+# matchings, so the 1-d grids past 12 points go to that closed form instead.
+MATCHING_ORACLE_GRIDS = [(n,) for n in range(1, 13)] + [
+    (2, 2), (2, 3), (2, 4), (3, 3), (2, 2, 2)]
+
+
+@pytest.mark.parametrize("sides", MATCHING_ORACLE_GRIDS,
+                         ids=["x".join(map(str, s)) for s in MATCHING_ORACLE_GRIDS])
+def test_matchings_against_backtracking(sides):
+    assert count_crossing_free_matchings(build_conflict_graph(sides)) == brute_force_matchings(sides)
+
+
+def test_matchings_of_paths_are_fibonacci():
+    fib = [1, 1]
+    while len(fib) < 33:
+        fib.append(fib[-1] + fib[-2])
+    for n in range(1, 32):
+        assert count_crossing_free_matchings(build_conflict_graph((n,))) == fib[n]
+
+
+MATCHINGS_PINNED = {(4, 3): 10211, (2, 2, 3): 69417, (4, 5): 29929779, (2, 3, 3): 186897264,
+                    (2, 2, 2, 2): 34527171, (2, 2, 4): 9657449}
+
+
+@pytest.mark.parametrize("sides, expected", MATCHINGS_PINNED.items(),
+                         ids=["x".join(map(str, s)) for s in MATCHINGS_PINNED])
+def test_matchings_pinned(sides, expected):
+    """Values of the earlier one-node-at-a-time search."""
+    assert count_crossing_free_matchings(build_conflict_graph(sides)) == expected
+
+
 def test_spanning_trees_examples():
     assert count_crossing_free_spanning_trees((2, 2)) == 12
     assert count_crossing_free_spanning_trees((1, 3)) == 1
@@ -96,7 +195,6 @@ def test_spanning_trees_against_subset_filter(sides, expected):
     """Brute force: every (volume - 1)-subset of candidates that has no
     conflicting pair and no cycle (union-find) is a tree."""
     from gridcross.counting import count_crossings_naive
-    from gridcross.enumeration import grid_points
     from gridcross.graph import make_grid_graph
 
     cg = build_conflict_graph(sides)
@@ -140,10 +238,9 @@ def test_spanning_trees_invariant_under_axis_permutation_and_unit_axes():
     for dim in range(1, 5):
         for sides in product(range(1, 10), repeat=dim):
             if prod(sides) <= 9:
-                core = tuple(sorted(s for s in sides if s > 1)) or (1,)
-                if core not in counts:
-                    counts[core] = count_crossing_free_spanning_trees(core)
-                assert count_crossing_free_spanning_trees(sides) == counts[core], sides
+                if core(sides) not in counts:
+                    counts[core(sides)] = count_crossing_free_spanning_trees(core(sides))
+                assert count_crossing_free_spanning_trees(sides) == counts[core(sides)], sides
 
 
 def test_spanning_trees_cap(monkeypatch):
@@ -164,20 +261,79 @@ def test_spanning_trees_cap(monkeypatch):
 def test_memoized_counter_equals_subset_dp():
     rng = random.Random(61)
     for trial in range(30):
-        t = rng.randint(0, 16)
-        adjacency = [set() for _ in range(t)]
-        for i in range(t):
-            for j in range(i + 1, t):
-                if rng.random() < rng.choice([0.1, 0.3, 0.6]):
-                    adjacency[i].add(j)
-                    adjacency[j].add(i)
-        adjacency = [frozenset(a) for a in adjacency]
-        assert count_independent_sets(adjacency) == brute_force_independent_sets(adjacency)
+        adjacency = random_adjacency(rng, rng.randint(0, 16))
+        assert count_independent_sets(adjacency) == brute_force_independent_sets(adjacency)[0]
+
+
+def test_clique_branching_with_random_cliques_matches_subset_dp():
+    """The search is exact for any rule that returns a non-empty clique inside
+    the component. Here K is drawn at random, on every call, from a fixed
+    list of cliques (every singleton and greedy maximal cliques) cut down to
+    the component."""
+    rng = random.Random(71)
+    for trial in range(40):
+        t = rng.randint(1, 14)
+        adjacency = random_adjacency(rng, t)
+        nbr = [sum(1 << j for j in a) for a in adjacency]
+        cliques = [1 << v for v in range(t)]
+        for _ in range(t):
+            k = 0
+            for v in rng.sample(range(t), t):
+                if (nbr[v] & k) == k:
+                    k |= 1 << v
+            cliques.append(k)
+
+        def clique(comp):
+            return rng.choice([k & comp for k in cliques if k & comp])
+
+        count, biggest = brute_force_independent_sets(adjacency)
+        assert _independent(nbr, clique) == count
+        assert _independent(nbr, clique, maximum=True) == biggest
+
+
+def test_mis_matches_networkx_clique_of_complement():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(67)
+    for trial in range(30):
+        t = rng.randint(1, 20)
+        adjacency = random_adjacency(rng, t)
+        g = nx.Graph()
+        g.add_nodes_from(range(t))
+        g.add_edges_from((i, j) for i in range(t) for j in adjacency[i])
+        _, weight = nx.max_weight_clique(nx.complement(g), weight=None)
+        cg = ConflictGraph(tuple(((v, 0), (v, 1)) for v in range(t)), tuple(adjacency))
+        assert max_crossing_free_edges(cg) == weight
 
 
 def test_mis_equals_bose_formula():
-    for sides in [(2, 2), (3, 2), (3, 3), (2, 2, 2)]:
-        assert max_crossing_free_edges(sides) == bose_formula(sides)
+    """Every grid of sides >= 2 in two to four dimensions up to the candidate
+    cap (a grid with c candidates has volume <= c + 1), by sides and by a
+    prebuilt conflict graph, and paths up to the one at the cap."""
+    grids = {sides for dim in range(2, 5) for sides in side_tuples(dim, CANDIDATE_CAP + 1)
+             if min(sides) >= 2 and sides == core(sides)
+             and candidate_count(sides, CANDIDATE_CAP) <= CANDIDATE_CAP}
+    assert len(grids) == 22 and (2, 11) in grids
+    for sides in sorted(grids) + [(1,), (2,), (7,), (CANDIDATE_CAP + 1,)]:
+        assert max_crossing_free_edges(sides) == bose_formula(sides), sides
+        assert max_crossing_free_edges(build_conflict_graph(sides)) == bose_formula(sides), sides
+
+
+def test_counts_invariant_under_axis_permutation_and_unit_axes():
+    """Subgraphs, matchings and MIS of every side tuple of length 1..4 with at
+    most 60 candidates equal those of its sorted non-unit sides."""
+    def counts_of(sides):
+        cg = build_conflict_graph(sides)
+        return (count_crossing_free_subgraphs(cg), count_crossing_free_matchings(cg),
+                max_crossing_free_edges(cg))
+
+    counts = {}
+    for length in range(1, 5):
+        for sides in side_tuples(length, 61):
+            c = core(sides)
+            if c not in counts:
+                counts[c] = counts_of(c) if candidate_count(c, 60) <= 60 else None
+            if counts[c] is not None:
+                assert counts_of(sides) == counts[c], sides
 
 
 def test_bose_formula_examples():
