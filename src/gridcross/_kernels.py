@@ -1,14 +1,18 @@
-"""Hot pairwise segment-crossing kernel over int64 coordinate arrays.
+"""The one pairwise segment-crossing kernel, exact at any coordinate size.
 
-A block-vectorized bounding-box filter selects the candidate pairs. In three
-or more dimensions a coplanarity prefilter drops every candidate pair whose
-four endpoints do not lie in one plane, as those of two crossing open
-segments must. A batched exact classification, the int64 counterpart of the rational
-one in geom, decides the pairs that are left.
+crossing_pairs first moves the origin to the minimum corner of the
+endpoints. A block-vectorized bounding-box filter selects the candidate
+pairs. In three or more dimensions a coplanarity prefilter drops every
+candidate pair whose four endpoints do not lie in one plane, as those of two
+crossing open segments must. A batched exact classification, the array
+counterpart of the rational one in geom, decides the pairs that are left.
 
-All arithmetic is int64 and callers must keep |coordinate| <= C = SAFE_COORD;
-above that the counting layer uses its exact big-integer sweep instead. With
-u = b - a, v = d - c and w = c - a every entry is at most 2C in magnitude, so
+The same code runs on int64 arrays when the spread of the coordinates (the
+largest max - min over the axes) is at most C = SAFE_COORD, and on object
+arrays of Python ints, which never wrap around, otherwise. The int64 path is
+exact because after the translation every coordinate lies in [0, C], so
+every entry of u = b - a, v = d - c and w = c - a is at most C in magnitude,
+inside the 2C for which the bound below is proven. With entries at most 2C,
 every 2x2 minor is at most 8C^2 and every product of a 2x2 minor with an
 entry at most 16C^3 < 2^63: no single product overflows. Sums of two or
 three such products may wrap around, and two checks rely on that being
@@ -27,9 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ValidationError
-
-SAFE_COORD = 800_000  # 32 * SAFE_COORD^3 < 2^64
+SAFE_COORD = 800_000  # largest spread run on int64; 32 * SAFE_COORD^3 < 2^64
 
 
 def _minor_index_arrays(dim):
@@ -124,12 +126,26 @@ def _crossing_rows(At, Ut, si, sj):
     return out
 
 
-def _count_blocks(A, B, lo, hi, per_edge, block=512, batch=1 << 16):
-    m = A.shape[0]
+def crossing_pairs(A, B, block=512, batch=1 << 16):
+    """Yield (si, sj) index arrays, si < sj elementwise, of the crossing pairs
+    among the open segments A[e] -> B[e]; each crossing pair comes once.
+
+    A and B hold m points of d integer coordinates each (sequences or
+    arrays), of any magnitude.
+    """
+    m = len(A)
+    if m < 2:
+        return
+    P = np.concatenate([np.array(A, dtype=object), np.array(B, dtype=object)])
+    P = P - P.min(axis=0)
+    if P.max() <= SAFE_COORD:
+        P = P.astype(np.int64)
+    A, B = P[:m], P[m:]
     dim = A.shape[1]
+    lo = np.minimum(A, B)
+    hi = np.maximum(A, B)
     At = np.ascontiguousarray(A.T)
     Ut = np.ascontiguousarray((B - A).T)
-    total = 0
     for i0 in range(0, m, block):
         i1 = min(m, i0 + block)
         for j0 in range(i0, m, block):
@@ -147,26 +163,16 @@ def _count_blocks(A, B, lo, hi, per_edge, block=512, batch=1 << 16):
                 si = ii[c0:c0 + batch]
                 sj = jj[c0:c0 + batch]
                 crossed = _crossing_rows(At, Ut, si, sj)
-                total += int(crossed.sum())
-                np.add.at(per_edge, si[crossed], 1)
-                np.add.at(per_edge, sj[crossed], 1)
-    return total
+                yield si[crossed], sj[crossed]
 
 
 def count_pairs(A, B):
-    """Count crossing pairs among m segments; returns (total, per_edge).
-
-    A and B are (m, dim) int64 arrays of segment endpoints whose coordinates
-    must lie within +-SAFE_COORD.
-    """
-    A = np.ascontiguousarray(A, dtype=np.int64)
-    B = np.ascontiguousarray(B, dtype=np.int64)
-    m = A.shape[0]
-    per_edge = np.zeros(m, dtype=np.int64)
-    if m < 2:
-        return 0, per_edge
-    if max(np.abs(A).max(), np.abs(B).max()) > SAFE_COORD:
-        raise ValidationError(f"coordinates exceed the int64-safe bound {SAFE_COORD}")
-    lo = np.minimum(A, B)
-    hi = np.maximum(A, B)
-    return _count_blocks(A, B, lo, hi, per_edge), per_edge
+    """Count crossing pairs among m segments A[e] -> B[e]; returns
+    (total, per_edge), per_edge an int64 array of length m."""
+    per_edge = np.zeros(len(A), dtype=np.int64)
+    total = 0
+    for si, sj in crossing_pairs(A, B):
+        total += si.size
+        np.add.at(per_edge, si, 1)
+        np.add.at(per_edge, sj, 1)
+    return total, per_edge

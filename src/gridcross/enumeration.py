@@ -3,7 +3,8 @@
 Candidate edges of a grid are the point pairs whose open segment avoids every
 grid point (on a full grid: coprime coordinate differences). Two candidates
 conflict when their open segments share a point, so crossing-free edge
-subsets are exactly the independent sets of the conflict graph. Counts are
+subsets are exactly the independent sets of the conflict graph, built by the
+same pair kernel that counts crossings (_kernels.crossing_pairs). Counts are
 edge-subset counts: a graph is identified with its edge set over the full
 grid, so isolated vertices never multiply anything.
 
@@ -23,13 +24,15 @@ Caps raise CapExceeded instead of truncating.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import comb, floor
 
+from ._kernels import crossing_pairs
 from .errors import CapExceeded, ValidationError
-from .geom import gcd_reduce, segments_cross
+from .geom import check_segment, gcd_reduce
 
 CANDIDATE_CAP = 141
 TREE_VOLUME_CAP = 9
@@ -79,27 +82,42 @@ def build_conflict_graph(sides, cap: int = CANDIDATE_CAP) -> ConflictGraph:
 
 
 def conflict_graph_from_segments(segments) -> ConflictGraph:
-    """Conflict graph over an explicit candidate list (deduplicated)."""
+    """Conflict graph over an explicit candidate list (deduplicated).
+
+    Every segment needs two distinct endpoints with integer coordinates,
+    and all of them one dimension."""
     seen = set()
     cands = []
-    for a, b in segments:
-        key = (tuple(a), tuple(b)) if tuple(a) <= tuple(b) else (tuple(b), tuple(a))
+    dims = set()
+    for seg in segments:
+        check_segment(seg)
+        a, b = (_lattice_point(p) for p in seg)
+        dims.add(len(a))
+        key = (a, b) if a <= b else (b, a)
         if key in seen:
             continue
         seen.add(key)
         cands.append(key)
+    if len(dims) > 1:
+        raise ValidationError(f"segments of different dimensions: {sorted(dims)}")
     if len(cands) > CANDIDATE_CAP:
         raise CapExceeded(f"{len(cands)} candidates exceed the cap {CANDIDATE_CAP}")
     return _conflict_graph(cands)
 
 
+def _lattice_point(p):
+    try:
+        return tuple(operator.index(x) for x in p)
+    except TypeError:
+        raise ValidationError(f"non-integer coordinate in {tuple(p)!r}") from None
+
+
 def _conflict_graph(cands):
     adjacency = [set() for _ in cands]
-    for i in range(len(cands)):
-        for j in range(i + 1, len(cands)):
-            if segments_cross(cands[i], cands[j]).is_crossing:
-                adjacency[i].add(j)
-                adjacency[j].add(i)
+    for si, sj in crossing_pairs([a for a, _ in cands], [b for _, b in cands]):
+        for i, j in zip(si.tolist(), sj.tolist()):
+            adjacency[i].add(j)
+            adjacency[j].add(i)
     return ConflictGraph(tuple(cands), tuple(frozenset(a) for a in adjacency))
 
 

@@ -7,19 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridcross import _kernels, counting
+from gridcross import _kernels
 from gridcross.constructions import layered_complete_bipartite, random_proper_graph
 from gridcross.counting import count_crossings_naive, count_crossings_pruned
-from gridcross.errors import ImproperGraphError, ValidationError
+from gridcross.errors import ImproperGraphError
 from gridcross.geom import CrossKind, segments_cross
 from gridcross.graph import make_grid_graph, validate_proper
 
 C = _kernels.SAFE_COORD
 
 # Scaling a drawing keeps every crossing. At scale 1 the fixtures run on the
-# numpy int64 kernel; at scale SAFE_COORD their coordinates leave the kernel's
-# range, so the same fixtures check the big-integer sweep. The ids name the
-# path each scale takes.
+# kernel's int64 arrays. At scale SAFE_COORD every fixture whose edge
+# endpoints span more than one unit on some axis has a spread past the int64
+# range, so the same fixtures check the kernel on Python ints. The ids name
+# the path that scale is for.
 SCALES = [pytest.param(1, id="numpy"), pytest.param(C, id="object")]
 
 
@@ -113,22 +114,23 @@ def test_pruned_empty_and_single_edge():
 
 
 def test_pruned_huge_coordinates_fall_back_to_exact_path():
-    scale = 10 ** 9  # beyond the int64-safe kernel range
+    scale = 10 ** 9  # spread beyond the int64 range: the kernel runs on Python ints
     g = make_grid_graph(2, [(0, 0), (2 * scale, 2 * scale), (0, 2 * scale), (2 * scale, 0)],
                         [(0, 1), (2, 3)])
-    rep = count_crossings_pruned(g)  # auto-selects the big-integer path
+    rep = count_crossings_pruned(g)
     assert rep.total == 1
     A = [g.vertices[i] for i, _ in g.edges]
     B = [g.vertices[j] for _, j in g.edges]
-    with pytest.raises(ValidationError, match="int64"):
-        _kernels.count_pairs(A, B)
+    total, per_edge = _kernels.count_pairs(A, B)
+    assert total == 1 and per_edge.tolist() == [1, 1]
 
 
-def _kernel_agrees_with_geom(pairs):
+def _kernel_agrees_with_geom(pairs, offset=0, dtype=np.int64):
     # segment k (a -> b) against segment n + k (c -> d), through the same
-    # coplanarity prefilter and exact test that count_pairs runs
-    a, b, c, d = (np.array(col, dtype=np.int64) for col in zip(*pairs))
-    At = np.concatenate([a, c]).T
+    # coplanarity prefilter and exact test that crossing_pairs runs, on
+    # arrays of `dtype` with every point shifted by `offset`
+    a, b, c, d = (np.array(col, dtype=dtype) for col in zip(*pairs))
+    At = np.concatenate([a, c]).T + offset
     Ut = np.concatenate([b - a, d - c]).T
     k = np.arange(len(pairs))
     got = _kernels._crossing_rows(At, Ut, k, k + len(pairs))
@@ -155,6 +157,8 @@ def test_kernel_matches_geom_on_envelope_cube_edges():
     pairs = [s1 + s2 for s1 in segs for s2 in segs]
     assert len(pairs) == 3136
     assert _kernel_agrees_with_geom(pairs) == []
+    # the same pairs on Python ints, far outside int64
+    assert _kernel_agrees_with_geom(pairs, offset=2 ** 64, dtype=object) == []
 
 
 def test_kernel_matches_geom_on_envelope_sample():
@@ -206,27 +210,30 @@ def test_crossing_pair_with_int64_overflowing_determinant_terms_is_counted():
 
 
 def test_pruned_path_switches_exactly_past_safe_coord(monkeypatch):
-    base = random_proper_graph((4, 4), m=30, seed=5)
+    # The kernel moves the edge endpoints to their minimum corner and runs on
+    # int64 while their spread is at most C. Positive diagonal scalings and
+    # translations keep every crossing: x spread 4 -> C, y spread 3 -> C + 1.
+    base = random_proper_graph((5, 4), m=30, seed=5)
     ref = count_crossings_naive(base)
-    at_edge = _scaled(base, C // 4)  # max |coordinate| is exactly C
-    past_edge = make_grid_graph(2, [(x + 1, y + 1) for x, y in at_edge.vertices], at_edge.edges)
-    calls = []
+    crossing_rows = _kernels._crossing_rows
+    dtypes = []
 
-    def spy(name, fn):
-        def wrapped(*args):
-            calls.append(name)
-            return fn(*args)
-        return wrapped
+    def spy(At, Ut, si, sj):
+        dtypes.append(At.dtype)
+        return crossing_rows(At, Ut, si, sj)
 
-    monkeypatch.setattr(_kernels, "count_pairs", spy("kernel", _kernels.count_pairs))
-    monkeypatch.setattr(counting, "_count_pairs_object",
-                        spy("sweep", counting._count_pairs_object))
-    for g, path, max_coord in ((at_edge, "kernel", C), (past_edge, "sweep", C + 1)):
-        assert max(abs(x) for v in g.vertices for x in v) == max_coord
-        calls.clear()
+    monkeypatch.setattr(_kernels, "_crossing_rows", spy)
+    cases = [((C // 4, C // 4, 0), C, np.int64), ((C // 4, (C + 1) // 3, 0), C + 1, object),
+             ((1, 1, 10 ** 30), 4, np.int64)]
+    for (fx, fy, shift), spread, dtype in cases:
+        g = make_grid_graph(2, [(fx * x + shift, fy * y + shift) for x, y in base.vertices],
+                            base.edges)
+        ends = [g.vertices[v] for e in g.edges for v in e]
+        assert max(max(col) - min(col) for col in zip(*ends)) == spread
+        dtypes.clear()
         rep = count_crossings_pruned(g)
-        assert calls == [path]
-        assert rep.total == ref.total and rep.per_edge == ref.per_edge
+        assert dtypes and set(dtypes) == {np.dtype(dtype)}
+        assert (rep.total, rep.per_edge) == (ref.total, ref.per_edge)
 
 
 def test_report_invariant_sum_per_edge():
@@ -256,17 +263,22 @@ def _proper_graphs(draw):
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_pruned_matches_naive_under_lattice_symmetries(data):
-    # a translation up to the edge of the kernel's range, an axis
-    # permutation (in 4-d it moves the fourth axis into the prefilter's axes
-    # 0..2) and reflections keep every crossing and every edge index
+    # translations, an axis permutation (in 4-d it moves the fourth axis into
+    # the prefilter's axes 0..2), reflections and scalings keep every crossing
+    # and every edge index. The kernel undoes a translation, so only the
+    # scaling by C + 1 moves the spread out of int64, onto Python ints.
     g = data.draw(_proper_graphs())
     dim = g.dim
     perm = data.draw(st.permutations(range(dim)))
     signs = data.draw(st.lists(st.sampled_from((1, -1)), min_size=dim, max_size=dim))
     shift = data.draw(st.lists(st.integers(-(C - 3), C - 3), min_size=dim, max_size=dim))
-    moved = make_grid_graph(dim, [tuple(signs[a] * v[perm[a]] + shift[a] for a in range(dim))
-                                  for v in g.vertices], g.edges)
+    far = data.draw(st.lists(st.integers(-2 ** 80, 2 ** 80), min_size=dim, max_size=dim))
+
+    def moved(scale, offset):
+        return make_grid_graph(dim, [tuple(scale * signs[a] * v[perm[a]] + offset[a]
+                                           for a in range(dim)) for v in g.vertices], g.edges)
+
     ref = count_crossings_naive(g)
-    for h in (g, moved):
+    for h in (g, moved(1, shift), moved(C + 1, far)):
         rep = count_crossings_pruned(h)
         assert (rep.total, rep.per_edge) == (ref.total, ref.per_edge)

@@ -24,7 +24,7 @@ from gridcross.enumeration import (
 )
 from gridcross.enumeration import _independent
 from gridcross.errors import CapExceeded, ValidationError
-from gridcross.geom import segments_cross
+from gridcross.geom import CrossKind, segments_cross
 
 
 def brute_force_independent_sets(adjacency):
@@ -102,6 +102,61 @@ def test_conflict_graph_from_layered_bipartite_edges():
     cg = conflict_graph_from_segments(g.segments())
     assert cg.size == 16
     assert cg.conflict_count == 10
+
+
+def segments_cross_adjacency(cands):
+    """Conflict adjacency by segments_cross on every candidate pair."""
+    adjacency = [set() for _ in cands]
+    for i, j in combinations(range(len(cands)), 2):
+        if segments_cross(cands[i], cands[j]).is_crossing:
+            adjacency[i].add(j)
+            adjacency[j].add(i)
+    return tuple(frozenset(a) for a in adjacency)
+
+
+CONFLICT_ORACLE_GRIDS = [(1, 5), (3, 3), (2, 2, 2), (2, 2, 3), (2, 3, 3), (2, 11)]
+
+
+@pytest.mark.parametrize("sides", CONFLICT_ORACLE_GRIDS,
+                         ids=["x".join(map(str, s)) for s in CONFLICT_ORACLE_GRIDS])
+def test_conflict_graph_matches_segments_cross(sides):
+    cg = build_conflict_graph(sides)
+    assert cg.adjacency == segments_cross_adjacency(cg.candidates)
+
+
+def test_conflict_graph_from_segments_matches_segments_cross():
+    """Random segments of a small box plus runs of non-primitive, overlapping
+    and nested segments on shared lines, in 1 to 4 dimensions, in place and
+    scaled far past int64."""
+    rng = random.Random(83)
+    lists = [[((0,), (3,)), ((1,), (2,)), ((3,), (5,)), ((4,), (9,)), ((2,), (7,))]]
+    for dim in (2, 3, 4):
+        pts = list(product(range(3), repeat=dim))
+        segs = [tuple(rng.sample(pts, 2)) for _ in range(30)]
+        while len(segs) < 50:
+            a = rng.choice(pts)
+            step = tuple(rng.randrange(-1, 2) for _ in range(dim))
+            for t0, t1 in ((0, 2), (1, 3), (0, 1)) if any(step) else ():
+                segs.append(tuple(tuple(x + t * y for x, y in zip(a, step)) for t in (t0, t1)))
+        lists.append(segs)
+    for segs in lists:
+        kinds = {segments_cross(s, t).kind for s, t in combinations(segs, 2)}
+        assert CrossKind.COLLINEAR_OVERLAP in kinds
+        assert CrossKind.POINT_CROSS in kinds or len(segs[0][0]) == 1
+        for scale in (1, 10 ** 20):
+            cg = conflict_graph_from_segments(
+                [tuple(tuple(scale * x for x in p) for p in seg) for seg in segs])
+            assert cg.adjacency == segments_cross_adjacency(cg.candidates)
+
+
+@pytest.mark.parametrize("segments, message", [
+    ([((0, 0), (1, 1)), ((2, 2), (2, 2))], "degenerate"),
+    ([((0, 0), (1, 1)), ((0, 0, 0), (1, 1, 1))], "different dimensions"),
+    ([((0, 0), (1, 1)), ((0, Fraction(1, 2)), (1, 0))], "non-integer"),
+], ids=["degenerate", "mixed-dimensions", "non-integer"])
+def test_conflict_graph_from_segments_rejects_bad_segments(segments, message):
+    with pytest.raises(ValidationError, match=message):
+        conflict_graph_from_segments(segments)
 
 
 def test_count_subgraphs_2x2():
