@@ -12,12 +12,12 @@ __version__ = "0.1.0"
 
 from .bounds import (
     BoundCertificate,
+    certify,
     default_p_max,
     lower_bound_essential_pgrid,
     lower_bound_greedy_removal,
     lower_bound_midpoint_bucket,
     lower_bound_midpoint_formula,
-    per_edge_max,
 )
 from .constructions import (
     analytic_skip_bound,

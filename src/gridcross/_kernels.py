@@ -32,6 +32,8 @@ from __future__ import annotations
 import numpy as np
 
 SAFE_COORD = 800_000  # largest spread run on int64; 32 * SAFE_COORD^3 < 2^64
+BLOCK = 512  # segments per side of one bounding-box filter tile
+BATCH = 1 << 16  # candidate pairs per exact classification call
 
 
 def _minor_index_arrays(dim):
@@ -126,7 +128,7 @@ def _crossing_rows(At, Ut, si, sj):
     return out
 
 
-def crossing_pairs(A, B, block=512, batch=1 << 16):
+def crossing_pairs(A, B):
     """Yield (si, sj) index arrays, si < sj elementwise, of the crossing pairs
     among the open segments A[e] -> B[e]; each crossing pair comes once.
 
@@ -146,10 +148,10 @@ def crossing_pairs(A, B, block=512, batch=1 << 16):
     hi = np.maximum(A, B)
     At = np.ascontiguousarray(A.T)
     Ut = np.ascontiguousarray((B - A).T)
-    for i0 in range(0, m, block):
-        i1 = min(m, i0 + block)
-        for j0 in range(i0, m, block):
-            j1 = min(m, j0 + block)
+    for i0 in range(0, m, BLOCK):
+        i1 = min(m, i0 + BLOCK)
+        for j0 in range(i0, m, BLOCK):
+            j1 = min(m, j0 + BLOCK)
             mask = (np.arange(i0, i1)[:, None] < np.arange(j0, j1)[None, :])
             for ax in range(dim):
                 mask &= lo[j0:j1, ax][None, :] <= hi[i0:i1, ax][:, None]
@@ -159,9 +161,9 @@ def crossing_pairs(A, B, block=512, batch=1 << 16):
                 continue
             ii += i0
             jj += j0
-            for c0 in range(0, ii.size, batch):
-                si = ii[c0:c0 + batch]
-                sj = jj[c0:c0 + batch]
+            for c0 in range(0, ii.size, BATCH):
+                si = ii[c0:c0 + BATCH]
+                sj = jj[c0:c0 + BATCH]
                 crossed = _crossing_rows(At, Ut, si, sj)
                 yield si[crossed], sj[crossed]
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .counting import count_crossings_naive, _require_proper
+from .counting import _require_proper
 from .errors import ValidationError
 from .geom import gcd_reduce
 from .graph import GridGraph, compute_volume
@@ -110,12 +110,27 @@ def lower_bound_greedy_removal(N: int, m: int, d: int) -> int:
     return max(0, m - (2 ** d - 1) * N)
 
 
-def per_edge_max(g: GridGraph, report=None) -> int:
-    """Largest number of crossings carried by a single edge.
+def certify(g: GridGraph, p_max: int | None = None, check_proper: bool = True):
+    """Every certificate for g: (p_max used, {kind: value}).
 
-    Computed from the reference counter unless a precomputed report for g is
-    supplied (the pruned counter produces the identical histogram).
+    Kinds in order: midpoint-bucket, essential-pgrid, greedy-removal and
+    midpoint-formula. essential-pgrid is None exactly when g has a
+    non-primitive edge. p_max defaults to default_p_max, and a graph with no
+    vertices counts as volume 1.
     """
-    if report is None:
-        report = count_crossings_naive(g)
-    return max(report.per_edge, default=0)
+    if check_proper:
+        _require_proper(g)
+    volume = compute_volume(g) if g.vertices else 1
+    m = len(g.edges)
+    if p_max is None:
+        p_max = default_p_max(m, volume)
+    if p_max < 1:
+        raise ValidationError(f"p_max must be >= 1, got {p_max}")
+    primitive = all(gcd_reduce(seg)[1] == 1 for seg in g.segments())
+    return p_max, {
+        "midpoint-bucket": lower_bound_midpoint_bucket(g, check_proper=False).value,
+        "essential-pgrid": (lower_bound_essential_pgrid(g, p_max, check_proper=False).value
+                            if primitive else None),
+        "greedy-removal": lower_bound_greedy_removal(volume, m, g.dim),
+        "midpoint-formula": lower_bound_midpoint_formula(volume, m, g.dim),
+    }

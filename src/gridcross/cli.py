@@ -11,31 +11,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import __version__
-from .bounds import (
-    default_p_max,
-    lower_bound_essential_pgrid,
-    lower_bound_greedy_removal,
-    lower_bound_midpoint_bucket,
-    lower_bound_midpoint_formula,
-)
+from .bounds import certify
 from .constructions import layered_complete_bipartite, random_proper_graph, tile_bipartite
 from .counting import count_crossings_naive, count_crossings_pruned
-from .enumeration import (
-    CANDIDATE_CAP,
-    TREE_VOLUME_CAP,
-    bose_formula,
-    build_conflict_graph,
-    count_crossing_free_matchings,
-    count_crossing_free_spanning_trees,
-    count_crossing_free_subgraphs,
-    max_crossing_free_edges,
-    ncs_upper_formula,
-)
+from .enumeration import CANDIDATE_CAP, TREE_VOLUME_CAP, count_crossing_free_spanning_trees
 from .errors import CapExceeded, ValidationError
-from .experiments import ExperimentConfig, emit_report, run_experiment
+from .experiments import KINDS, ExperimentConfig, emit_report, enumeration_record, run_experiment
 from .graph import compute_volume, parse_graph, reduce_edges, serialize_graph
 from .totients import partial_sums, verify_totient_inequalities
 
@@ -95,66 +80,34 @@ def _cmd_cross(args):
     g = _read_graph(args.graph)
     if args.reduce:
         g = reduce_edges(g)
+    rep = count_crossings_naive(g) if args.method == "naive" else count_crossings_pruned(g)
     doc = {
         "dim": g.dim,
         "vertices": len(g.vertices),
         "edges": len(g.edges),
         "volume": compute_volume(g) if g.vertices else 0,
+        "method": args.method,
+        "total": rep.total,
+        "per_edge_max": rep.per_edge_max,
     }
-    if args.method in ("naive", "pruned"):
-        rep = count_crossings_naive(g) if args.method == "naive" else count_crossings_pruned(g)
-        doc["method"] = rep.method
-        doc["total"] = rep.total
-        doc["per_edge_max"] = max(rep.per_edge, default=0)
-        doc["per_edge"] = list(rep.per_edge)
-    else:
-        rep = count_crossings_pruned(g)
-        volume = doc["volume"]
-        m = len(g.edges)
-        p_max = args.p_max or default_p_max(m, max(volume, 1))
-        bucket = lower_bound_midpoint_bucket(g, check_proper=False).value
-        try:
-            pgrid = lower_bound_essential_pgrid(g, p_max, check_proper=False).value
-        except ValidationError:
-            pgrid = None  # non-primitive edges: no level certificate for this graph
-        greedy = lower_bound_greedy_removal(max(volume, 1), m, g.dim)
-        formula = lower_bound_midpoint_formula(max(volume, 1), m, g.dim)
-        doc["method"] = "all-certificates"
-        doc["total"] = rep.total
-        doc["per_edge_max"] = max(rep.per_edge, default=0)
+    if args.method == "all-certificates":
+        p_max, values = certify(g, args.p_max, check_proper=False)
         doc["p_max"] = p_max
-        doc["certificates"] = {
-            "midpoint-bucket": str(bucket),
-            "essential-pgrid": None if pgrid is None else str(pgrid),
-            "greedy-removal": str(greedy),
-            "midpoint-formula": str(formula),
-        }
-        doc["sound"] = all(v <= rep.total for v in (bucket, greedy, formula)
-                           if v is not None) and (pgrid is None or pgrid <= rep.total)
+        doc["certificates"] = {kind: None if v is None else str(v) for kind, v in values.items()}
+        doc["sound"] = all(v is None or v <= rep.total for v in values.values())
+    else:
+        doc["per_edge"] = list(rep.per_edge)
     _write(args.out, json.dumps(doc, indent=1) + "\n")
     return 0
 
 
 def _cmd_enum(args):
     sides = _parse_sides(args.sides)
-    volume = 1
-    for s in sides:
-        volume *= s
-    cg = build_conflict_graph(sides, cap=args.cap)
-    doc = {
-        "grid": "x".join(map(str, sides)),
-        "volume": str(volume),
-        "candidates": str(cg.size),
-        "conflicts": str(cg.conflict_count),
-        "max_edges": str(max_crossing_free_edges(cg)),
-        "bose": str(bose_formula(sides)),
-        "subgraphs": str(count_crossing_free_subgraphs(cg)),
-        "matchings": str(count_crossing_free_matchings(cg)),
-    }
-    if args.trees or volume <= TREE_VOLUME_CAP:
-        doc["spanning_trees"] = str(count_crossing_free_spanning_trees(sides, cap=args.cap))
-    if volume >= 2:
-        doc["ncs_upper"] = str(ncs_upper_formula(volume, len(sides)))
+    if args.trees and math.prod(sides) > TREE_VOLUME_CAP:
+        count_crossing_free_spanning_trees(sides, cap=args.cap)  # raises the volume-cap error
+    rec = enumeration_record(sides, cap=args.cap)
+    doc = {key: str(value) for key, value in rec.items()
+           if value is not None and key not in ("consistent", "elapsed_s")}
     _write(args.out, json.dumps(doc, indent=1) + "\n")
     return 0
 
@@ -246,8 +199,7 @@ def build_parser():
     p.set_defaults(func=_cmd_nt)
 
     p = sub.add_parser("experiment", help="run a reproducible sweep")
-    p.add_argument("--kind", required=True,
-                   choices=("growth3d", "growth_hd", "certificates", "totients", "enumeration"))
+    p.add_argument("--kind", required=True, choices=KINDS)
     p.add_argument("--k-values", dest="k_values", help="comma-separated, e.g. 2,3,4")
     p.add_argument("--dim", type=int, default=3)
     p.add_argument("--sides", help="comma-separated grid shapes, e.g. 4x4,2x2x2")

@@ -46,6 +46,8 @@ def tile_bipartite(k: int, side: int, d: int) -> GridGraph:
     """
     if d < 3:
         raise ValidationError(f"tiling needs d >= 3, got {d}")
+    if k < 1 or side < 1:
+        raise ValidationError(f"need k >= 1 and side >= 1, got k={k}, side={side}")
     if side % k != 0:
         raise ValidationError(f"block side {k} does not divide {side}")
     verts = [xs + (z,) for z in (1, 2) for xs in product(range(1, side + 1), repeat=d - 1)]
@@ -90,6 +92,8 @@ def random_proper_graph(sides, m: int, seed: int) -> GridGraph:
     coordinate differences being coprime, so candidates are always primitive.
     Deterministic for a fixed seed.
     """
+    if m < 0:
+        raise ValidationError(f"need m >= 0 edges, got {m}")
     verts = grid_points(sides)
     candidates = list(candidate_pairs(verts))
     if m > len(candidates):

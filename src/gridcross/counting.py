@@ -26,6 +26,11 @@ class CrossingReport:
     per_edge: tuple  # crossings incident to each edge, aligned with g.edges
     method: str  # "naive" | "pruned"
 
+    @property
+    def per_edge_max(self) -> int:
+        """Largest number of crossings carried by a single edge (0 with no edges)."""
+        return max(self.per_edge, default=0)
+
 
 def _require_proper(g: GridGraph):
     violations = validate_proper(g)

@@ -17,16 +17,11 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bounds import (
-    default_p_max,
-    lower_bound_essential_pgrid,
-    lower_bound_greedy_removal,
-    lower_bound_midpoint_bucket,
-    lower_bound_midpoint_formula,
-)
+from .bounds import certify
 from .constructions import analytic_skip_bound, layered_complete_bipartite, random_proper_graph
 from .counting import count_crossings_naive, count_crossings_pruned
 from .enumeration import (
+    CANDIDATE_CAP,
     TREE_VOLUME_CAP,
     bose_formula,
     build_conflict_graph,
@@ -41,8 +36,6 @@ from .errors import ValidationError
 from .graph import compute_volume
 from .totients import partial_sums
 
-KINDS = ("growth3d", "growth_hd", "certificates", "totients", "enumeration")
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -55,43 +48,17 @@ class ExperimentConfig:
     p_max: int | None = None
     n_max: int = 100
 
-    def validate(self):
-        if self.kind not in KINDS:
-            raise ValidationError(f"unknown experiment kind {self.kind!r}; choose from {KINDS}")
-        if self.kind == "growth3d":
-            if not self.k_values or min(self.k_values) < 2:
-                raise ValidationError("growth3d needs k values >= 2")
-        if self.kind == "growth_hd":
-            if not self.k_values or min(self.k_values) < 1:
-                raise ValidationError("growth_hd needs k values >= 1")
-            if self.dim < 4:
-                raise ValidationError(f"growth_hd needs dim >= 4, got {self.dim}")
-        if self.kind == "certificates":
-            if not self.seeds:
-                raise ValidationError("certificates needs explicit seeds")
-            if not self.sides:
-                raise ValidationError("certificates needs at least one grid shape")
-            if self.edges < 1:
-                raise ValidationError("certificates needs edges >= 1")
-        if self.kind == "totients" and self.n_max < 1:
-            raise ValidationError("totients needs n_max >= 1")
-        if self.kind == "enumeration" and not self.sides:
-            raise ValidationError("enumeration needs at least one grid shape")
-
 
 def run_experiment(config: ExperimentConfig):
-    config.validate()
-    runner = {
-        "growth3d": _run_growth3d,
-        "growth_hd": _run_growth_hd,
-        "certificates": _run_certificates,
-        "totients": _run_totients,
-        "enumeration": _run_enumeration,
-    }[config.kind]
+    runner = RUNNERS.get(config.kind)
+    if runner is None:
+        raise ValidationError(f"unknown experiment kind {config.kind!r}; choose from {KINDS}")
     return runner(config)
 
 
 def _run_growth3d(config):
+    if not config.k_values or min(config.k_values) < 2:
+        raise ValidationError("growth3d needs k values >= 2")
     records = []
     for k in config.k_values:
         start = time.perf_counter()
@@ -105,7 +72,7 @@ def _run_growth3d(config):
             "volume": compute_volume(g),
             "layer_volume": k * k,
             "crossings": rep.total,
-            "per_edge_max": max(rep.per_edge),
+            "per_edge_max": rep.per_edge_max,
             "skip_bound": bound,
             "skip_bound_float": float(bound),
             "crossings_per_k6lnk": rep.total / (k ** 6 * math.log(k)),
@@ -115,6 +82,10 @@ def _run_growth3d(config):
 
 
 def _run_growth_hd(config):
+    if not config.k_values or min(config.k_values) < 1:
+        raise ValidationError("growth_hd needs k values >= 1")
+    if config.dim < 4:
+        raise ValidationError(f"growth_hd needs dim >= 4, got {config.dim}")
     records = []
     d = config.dim
     for k in config.k_values:
@@ -133,7 +104,7 @@ def _run_growth_hd(config):
             "edges": len(g.edges),
             "volume": compute_volume(g),
             "crossings": rep.total,
-            "per_edge_max": max(rep.per_edge),
+            "per_edge_max": rep.per_edge_max,
             "skip_bound": bound,
             "crossings_per_l3": rep.total / layer ** 3,
             "c_admissible": c_admissible,
@@ -144,6 +115,12 @@ def _run_growth_hd(config):
 
 
 def _run_certificates(config):
+    if not config.seeds:
+        raise ValidationError("certificates needs explicit seeds")
+    if not config.sides:
+        raise ValidationError("certificates needs at least one grid shape")
+    if config.edges < 1:
+        raise ValidationError("certificates needs edges >= 1")
     records = []
     for sides in config.sides:
         for seed in config.seeds:
@@ -151,32 +128,29 @@ def _run_certificates(config):
             g = random_proper_graph(sides, config.edges, seed)
             exact = count_crossings_naive(g, check_proper=False)
             pruned = count_crossings_pruned(g, check_proper=False)
-            volume = compute_volume(g)
-            p_max = config.p_max or default_p_max(len(g.edges), volume)
-            bucket = lower_bound_midpoint_bucket(g, check_proper=False).value
-            pgrid = lower_bound_essential_pgrid(g, p_max, check_proper=False).value
-            greedy = lower_bound_greedy_removal(volume, len(g.edges), g.dim)
-            formula = lower_bound_midpoint_formula(volume, len(g.edges), g.dim)
+            p_max, values = certify(g, config.p_max, check_proper=False)
             records.append({
                 "grid": "x".join(map(str, sides)),
                 "seed": seed,
                 "vertices": len(g.vertices),
                 "edges": len(g.edges),
-                "volume": volume,
+                "volume": compute_volume(g),
                 "crossings": exact.total,
                 "pruned_equal": pruned.total == exact.total,
-                "midpoint_bucket": bucket,
-                "essential_pgrid": pgrid,
+                "midpoint_bucket": values["midpoint-bucket"],
+                "essential_pgrid": values["essential-pgrid"],
                 "p_max": p_max,
-                "greedy_removal": greedy,
-                "midpoint_formula": formula,
-                "sound": max(bucket, pgrid, greedy, formula) <= exact.total,
+                "greedy_removal": values["greedy-removal"],
+                "midpoint_formula": values["midpoint-formula"],
+                "sound": all(v is None or v <= exact.total for v in values.values()),
                 "elapsed_s": time.perf_counter() - start,
             })
     return records
 
 
 def _run_totients(config):
+    if config.n_max < 1:
+        raise ValidationError("totients needs n_max >= 1")
     start = time.perf_counter()
     records = []
     for n, f, s1, s2, s3 in partial_sums(config.n_max):
@@ -192,35 +166,54 @@ def _run_totients(config):
     return records
 
 
+def enumeration_record(sides, cap: int = CANDIDATE_CAP) -> dict:
+    """Exact crossing-free counts on one grid, beside the closed forms.
+
+    spanning_trees is None above TREE_VOLUME_CAP and ncs_upper is None below
+    volume 2; `consistent` checks MIS == Bose and matchings <= subgraphs <=
+    ncs_upper. Raises CapExceeded when the grid has more than `cap`
+    candidate edges.
+    """
+    start = time.perf_counter()
+    volume = math.prod(sides)
+    cg = build_conflict_graph(sides, cap=cap)
+    subgraphs = count_crossing_free_subgraphs(cg)
+    matchings = count_crossing_free_matchings(cg)
+    mis = max_crossing_free_edges(cg)
+    bose = bose_formula(sides)
+    upper = ncs_upper_formula(volume, len(sides)) if volume >= 2 else None
+    trees = (count_crossing_free_spanning_trees(sides, cap=cap)
+             if volume <= TREE_VOLUME_CAP else None)
+    return {
+        "grid": "x".join(map(str, sides)),
+        "volume": volume,
+        "candidates": cg.size,
+        "conflicts": cg.conflict_count,
+        "max_edges": mis,
+        "bose": bose,
+        "subgraphs": subgraphs,
+        "matchings": matchings,
+        "spanning_trees": trees,
+        "ncs_upper": upper,
+        "consistent": mis == bose and matchings <= subgraphs <= (upper or subgraphs),
+        "elapsed_s": time.perf_counter() - start,
+    }
+
+
 def _run_enumeration(config):
-    records = []
-    for sides in config.sides:
-        start = time.perf_counter()
-        volume = 1
-        for s in sides:
-            volume *= int(s)
-        cg = build_conflict_graph(sides)
-        subgraphs = count_crossing_free_subgraphs(cg)
-        matchings = count_crossing_free_matchings(cg)
-        mis = max_crossing_free_edges(cg)
-        bose = bose_formula(sides)
-        upper = ncs_upper_formula(volume, len(sides)) if volume >= 2 else None
-        trees = count_crossing_free_spanning_trees(sides) if volume <= TREE_VOLUME_CAP else None
-        records.append({
-            "grid": "x".join(map(str, sides)),
-            "volume": volume,
-            "candidates": cg.size,
-            "conflicts": cg.conflict_count,
-            "max_edges": mis,
-            "bose": bose,
-            "subgraphs": subgraphs,
-            "matchings": matchings,
-            "spanning_trees": trees,
-            "ncs_upper": upper,
-            "consistent": mis == bose and matchings <= subgraphs <= (upper or subgraphs),
-            "elapsed_s": time.perf_counter() - start,
-        })
-    return records
+    if not config.sides:
+        raise ValidationError("enumeration needs at least one grid shape")
+    return [enumeration_record(sides) for sides in config.sides]
+
+
+RUNNERS = {
+    "growth3d": _run_growth3d,
+    "growth_hd": _run_growth_hd,
+    "certificates": _run_certificates,
+    "totients": _run_totients,
+    "enumeration": _run_enumeration,
+}
+KINDS = tuple(RUNNERS)
 
 
 def _cell(value):

@@ -4,12 +4,12 @@ from fractions import Fraction
 import pytest
 
 from gridcross.bounds import (
+    certify,
     default_p_max,
     lower_bound_essential_pgrid,
     lower_bound_greedy_removal,
     lower_bound_midpoint_bucket,
     lower_bound_midpoint_formula,
-    per_edge_max,
 )
 from gridcross.constructions import layered_complete_bipartite, random_proper_graph
 from gridcross.counting import count_crossings_naive
@@ -54,10 +54,37 @@ def test_greedy_removal_examples():
 
 
 def test_per_edge_max_examples():
-    assert per_edge_max(layered_complete_bipartite(2, 3)) == 3
-    assert per_edge_max(DIAGONALS) == 1
+    assert count_crossings_naive(layered_complete_bipartite(2, 3)).per_edge_max == 3
+    assert count_crossings_naive(DIAGONALS).per_edge_max == 1
     tree = make_grid_graph(2, [(1, 1), (2, 1), (2, 2)], [(0, 1), (1, 2)])
-    assert per_edge_max(tree) == 0
+    assert count_crossings_naive(tree).per_edge_max == 0
+    assert count_crossings_naive(make_grid_graph(2, [(1, 1)], [])).per_edge_max == 0
+
+
+def test_certify_returns_every_certificate_by_kind():
+    g = layered_complete_bipartite(2, 3)
+    p_max, values = certify(g)
+    assert p_max == default_p_max(16, 8) == 1
+    assert values == {
+        "midpoint-bucket": lower_bound_midpoint_bucket(g).value,
+        "essential-pgrid": lower_bound_essential_pgrid(g, 1).value,
+        "greedy-removal": lower_bound_greedy_removal(8, 16, 3),
+        "midpoint-formula": lower_bound_midpoint_formula(8, 16, 3),
+    }
+    assert certify(g, 3)[1]["essential-pgrid"] == 10
+    # a non-primitive edge leaves only the essential-pgrid certificate out
+    long = make_grid_graph(2, [(0, 0), (4, 6), (0, 6), (4, 0)], [(0, 1), (2, 3)])
+    assert certify(long) == (1, {"midpoint-bucket": 1, "essential-pgrid": None,
+                                 "greedy-removal": 0, "midpoint-formula": 0})
+    # no vertices: volume 1
+    assert certify(make_grid_graph(3, [], [])) == (1, {
+        "midpoint-bucket": 0, "essential-pgrid": 0, "greedy-removal": 0,
+        "midpoint-formula": 0})
+    for bad in (0, -1):
+        with pytest.raises(ValidationError, match="p_max"):
+            certify(g, bad)
+        with pytest.raises(ValidationError, match="p_max"):
+            certify(long, bad)
 
 
 def test_default_p_max_follows_cube_root_and_clamps():

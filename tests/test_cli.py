@@ -51,6 +51,36 @@ def test_cross_all_certificates_sound(tmp_path):
     assert doc["sound"] is True
 
 
+@pytest.mark.parametrize("p_max", ["0", "-1"])
+@pytest.mark.parametrize("command", ["cross", "experiment"])
+def test_p_max_below_one_is_a_validation_error(tmp_path, capsys, command, p_max):
+    if command == "cross":
+        path = tmp_path / "g.json"
+        run_cli(["gen", "--kind", "random", "--sides", "4x4", "--edges", "14",
+                 "--seed", "3", "--out", str(path)])
+        argv = ["cross", str(path), "--method", "all-certificates"]
+    else:
+        argv = ["experiment", "--kind", "certificates", "--sides", "4x4", "--edges", "9",
+                "--seeds", "5"]
+    capsys.readouterr()
+    assert main(argv + [f"--p-max={p_max}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: p_max must be >= 1, got {p_max}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--kind", "tiled", "--k", "0"],
+    ["gen", "--kind", "tiled", "--side", "0"],
+    ["gen", "--kind", "random", "--sides", "4x4", "--edges", "-1", "--seed", "1"],
+])
+def test_gen_rejects_non_positive_sizes(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_cross_rejects_improper_graph(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"dim":2,"vertices":[[1,1],[2,2],[3,3]],"edges":[[0,2]]}')
@@ -76,6 +106,14 @@ def test_enum_counts_and_caps():
     assert code == 3
     code, _ = run_cli(["enum", "--sides", "2x5", "--trees"])
     assert code == 3  # volume 10 exceeds the spanning-tree cap
+
+
+def test_enum_trees_refuses_large_volume_before_enumerating(capsys):
+    # 9x9 is also past the candidate cap; the volume check comes first
+    assert main(["enum", "--sides", "9x9", "--trees"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: grid volume 81 exceeds the spanning-tree cap 9\n"
 
 
 def test_nt_table_values():

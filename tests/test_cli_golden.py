@@ -20,6 +20,8 @@ GRAPHS = {
     "layered-k4": ["gen", "--kind", "bipartite", "--k", "4", "--dim", "3"],
     "random-5x5x2": ["gen", "--kind", "random", "--sides", "5x5x2", "--edges", "20",
                      "--seed", "7"],
+    # two crossing edges with gcd-2 steps: no essential-pgrid certificate
+    "non-primitive": '{"dim":2,"vertices":[[0,0],[4,6],[0,6],[4,0]],"edges":[[0,1],[2,3]]}',
 }
 
 GOLDEN = [
@@ -45,6 +47,12 @@ GOLDEN = [
      "808bef8600e1ec70c6708b2604ac691bcd5632986feee826f19c4b2bbecd4131"),
     (["enum", "--sides", "3x3"],
      "b2ad8b7cacb1d7eb0b8565b7912b1efe422685bab4b1c4ad337d3beca6b1b9a9"),
+    (["enum", "--sides", "1"],  # volume 1: no ncs_upper key
+     "5b6862b0d04696bb6d4c9cbc79bd3abade98a680d38595236b582733fd44773a"),
+    (["enum", "--sides", "2x5"],  # volume above the tree cap: no spanning_trees key
+     "5be86dd6e893775fca6e879fbbdf50e5129e096cc3da03fddcdc1e790948c537"),
+    (["cross", "{non-primitive}", "--method", "all-certificates"],  # essential-pgrid null
+     "6c7946f9686af535ab8089ba14d1b60a42f1a675d5cf644d7d5584c2e18fdf4e"),
     (["nt", "--n-max", "300"],
      "d65279c042b1ab55a6680c39d7d5bdeed482f5731a63c3b82c477918a972d6e9"),
     (["experiment", "--kind", "totients", "--n-max", "60"],
@@ -71,9 +79,9 @@ def _stdout(argv):
 def graph_paths(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden")
     paths = {}
-    for name, argv in GRAPHS.items():
+    for name, spec in GRAPHS.items():
         path = root / f"{name}.json"
-        path.write_bytes(_stdout(argv))
+        path.write_bytes(spec.encode("utf-8") if isinstance(spec, str) else _stdout(spec))
         paths[name] = str(path)
     return paths
 

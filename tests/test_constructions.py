@@ -2,7 +2,6 @@ import random
 from fractions import Fraction
 import pytest
 
-from gridcross.bounds import per_edge_max
 from gridcross.constructions import (
     analytic_skip_bound,
     augment_matching_to_spanning_tree,
@@ -49,6 +48,12 @@ def test_tile_bipartite_requires_divisibility():
         tile_bipartite(3, 4, 3)
 
 
+@pytest.mark.parametrize("k,side", [(0, 4), (-2, 4), (2, 0), (1, -1)])
+def test_tile_bipartite_rejects_non_positive_sizes(k, side):
+    with pytest.raises(ValidationError, match="k >= 1 and side >= 1"):
+        tile_bipartite(k, side, 3)
+
+
 def test_analytic_skip_bound_examples():
     assert analytic_skip_bound(2, 3) == 24
     assert analytic_skip_bound(4, 3) == Fraction(400, 3)
@@ -59,11 +64,11 @@ def test_skip_bound_dominates_observed_per_edge_load():
     for k in range(1, 5):
         g = layered_complete_bipartite(k, 3)
         rep = count_crossings_pruned(g)
-        assert per_edge_max(g, rep) <= analytic_skip_bound(k, 3)
+        assert rep.per_edge_max <= analytic_skip_bound(k, 3)
     for k in (2, 3, 4):
         g = layered_complete_bipartite(k, 4)
         rep = count_crossings_pruned(g, check_proper=False)
-        assert per_edge_max(g, rep) <= analytic_skip_bound(k, 4)
+        assert rep.per_edge_max <= analytic_skip_bound(k, 4)
 
 
 def test_random_proper_graph_deterministic_and_proper():
@@ -80,6 +85,12 @@ def test_random_proper_graph_full_candidate_set_on_2x2():
     assert len(g.edges) == 6  # all pairs of the 2x2 grid are primitive
     with pytest.raises(ValidationError, match="candidates"):
         random_proper_graph((2, 2), 7, seed=0)
+
+
+def test_random_proper_graph_rejects_negative_edge_count():
+    assert random_proper_graph((2, 2), 0, seed=0).edges == ()
+    with pytest.raises(ValidationError, match="m >= 0"):
+        random_proper_graph((2, 2), -1, seed=0)
 
 
 def _matching_graph(k, d, pairs):
