@@ -67,24 +67,12 @@ def default_p_max(m: int, N: int) -> int:
     return p
 
 
-def lower_bound_essential_pgrid(g: GridGraph, p_max: int | None = None,
-                                check_proper: bool = True) -> BoundCertificate:
-    """Bucket subdivision points of all edges by level and position.
+def _non_primitive(segs):
+    """Segments whose coordinate differences share a factor above 1."""
+    return [seg for seg in segs if gcd_reduce(seg)[1] != 1]
 
-    Refuses graphs with a non-primitive edge: the level argument needs
-    coprime coordinate differences (and primitivity is also what rules out
-    collinear-overlap pairs, which would break the bound).
-    """
-    if check_proper:
-        _require_proper(g)
-    segs = g.segments()
-    bad = [seg for seg in segs if gcd_reduce(seg)[1] != 1]
-    if bad:
-        raise ValidationError(
-            f"{len(bad)} non-primitive edge(s), first {bad[0][0]}->{bad[0][1]}; "
-            "reduce edges first if a certificate for the reduced graph is acceptable")
-    if p_max is None:
-        p_max = default_p_max(len(segs), compute_volume(g)) if g.vertices else 1
+
+def _essential_pgrid(segs, p_max: int) -> BoundCertificate:
     if p_max < 1:
         raise ValidationError(f"p_max must be >= 1, got {p_max}")
     value = 0
@@ -102,6 +90,27 @@ def lower_bound_essential_pgrid(g: GridGraph, p_max: int | None = None,
     return BoundCertificate("essential-pgrid", Fraction(value), p_max, tuple(incidence))
 
 
+def lower_bound_essential_pgrid(g: GridGraph, p_max: int | None = None,
+                                check_proper: bool = True) -> BoundCertificate:
+    """Bucket subdivision points of all edges by level and position.
+
+    Refuses graphs with a non-primitive edge: the level argument needs
+    coprime coordinate differences (and primitivity is also what rules out
+    collinear-overlap pairs, which would break the bound).
+    """
+    if check_proper:
+        _require_proper(g)
+    segs = g.segments()
+    bad = _non_primitive(segs)
+    if bad:
+        raise ValidationError(
+            f"{len(bad)} non-primitive edge(s), first {bad[0][0]}->{bad[0][1]}; "
+            "reduce edges first if a certificate for the reduced graph is acceptable")
+    if p_max is None:
+        p_max = default_p_max(len(segs), compute_volume(g)) if g.vertices else 1
+    return _essential_pgrid(segs, p_max)
+
+
 def lower_bound_greedy_removal(N: int, m: int, d: int) -> int:
     """max(0, m - (2^d - 1) N): every edge beyond the crossing-free maximum
     forces at least one crossing."""
@@ -110,27 +119,26 @@ def lower_bound_greedy_removal(N: int, m: int, d: int) -> int:
     return max(0, m - (2 ** d - 1) * N)
 
 
-def certify(g: GridGraph, p_max: int | None = None, check_proper: bool = True):
+def certify(g: GridGraph, p_max: int | None = None):
     """Every certificate for g: (p_max used, {kind: value}).
 
     Kinds in order: midpoint-bucket, essential-pgrid, greedy-removal and
     midpoint-formula. essential-pgrid is None exactly when g has a
     non-primitive edge. p_max defaults to default_p_max, and a graph with no
-    vertices counts as volume 1.
+    vertices counts as volume 1. Raises ImproperGraphError if an edge passes
+    through a vertex.
     """
-    if check_proper:
-        _require_proper(g)
+    _require_proper(g)
     volume = compute_volume(g) if g.vertices else 1
     m = len(g.edges)
     if p_max is None:
         p_max = default_p_max(m, volume)
     if p_max < 1:
         raise ValidationError(f"p_max must be >= 1, got {p_max}")
-    primitive = all(gcd_reduce(seg)[1] == 1 for seg in g.segments())
+    segs = g.segments()
     return p_max, {
         "midpoint-bucket": lower_bound_midpoint_bucket(g, check_proper=False).value,
-        "essential-pgrid": (lower_bound_essential_pgrid(g, p_max, check_proper=False).value
-                            if primitive else None),
+        "essential-pgrid": None if _non_primitive(segs) else _essential_pgrid(segs, p_max).value,
         "greedy-removal": lower_bound_greedy_removal(volume, m, g.dim),
         "midpoint-formula": lower_bound_midpoint_formula(volume, m, g.dim),
     }

@@ -18,7 +18,7 @@ from . import __version__
 from .bounds import certify
 from .constructions import layered_complete_bipartite, random_proper_graph, tile_bipartite
 from .counting import count_crossings_naive, count_crossings_pruned
-from .enumeration import CANDIDATE_CAP, TREE_VOLUME_CAP, count_crossing_free_spanning_trees
+from .enumeration import CANDIDATE_CAP, TREE_VOLUME_CAP
 from .errors import CapExceeded, ValidationError
 from .experiments import KINDS, ExperimentConfig, emit_report, enumeration_record, run_experiment
 from .graph import compute_volume, parse_graph, reduce_edges, serialize_graph
@@ -91,7 +91,7 @@ def _cmd_cross(args):
         "per_edge_max": rep.per_edge_max,
     }
     if args.method == "all-certificates":
-        p_max, values = certify(g, args.p_max, check_proper=False)
+        p_max, values = certify(g, args.p_max)
         doc["p_max"] = p_max
         doc["certificates"] = {kind: None if v is None else str(v) for kind, v in values.items()}
         doc["sound"] = all(v is None or v <= rep.total for v in values.values())
@@ -103,8 +103,9 @@ def _cmd_cross(args):
 
 def _cmd_enum(args):
     sides = _parse_sides(args.sides)
-    if args.trees and math.prod(sides) > TREE_VOLUME_CAP:
-        count_crossing_free_spanning_trees(sides, cap=args.cap)  # raises the volume-cap error
+    volume = math.prod(sides)
+    if args.trees and volume > TREE_VOLUME_CAP:
+        raise CapExceeded(f"grid volume {volume} exceeds the spanning-tree cap {TREE_VOLUME_CAP}")
     rec = enumeration_record(sides, cap=args.cap)
     doc = {key: str(value) for key, value in rec.items()
            if value is not None and key not in ("consistent", "elapsed_s")}

@@ -128,7 +128,7 @@ def _run_certificates(config):
             g = random_proper_graph(sides, config.edges, seed)
             exact = count_crossings_naive(g, check_proper=False)
             pruned = count_crossings_pruned(g, check_proper=False)
-            p_max, values = certify(g, config.p_max, check_proper=False)
+            p_max, values = certify(g, config.p_max)
             records.append({
                 "grid": "x".join(map(str, sides)),
                 "seed": seed,

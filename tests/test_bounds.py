@@ -13,7 +13,7 @@ from gridcross.bounds import (
 )
 from gridcross.constructions import layered_complete_bipartite, random_proper_graph
 from gridcross.counting import count_crossings_naive
-from gridcross.errors import ValidationError
+from gridcross.errors import ImproperGraphError, ValidationError
 from gridcross.graph import make_grid_graph
 from gridcross.totients import totient_sieve
 
@@ -85,6 +85,9 @@ def test_certify_returns_every_certificate_by_kind():
             certify(g, bad)
         with pytest.raises(ValidationError, match="p_max"):
             certify(long, bad)
+    # an edge through a vertex is refused before any certificate is computed
+    with pytest.raises(ImproperGraphError):
+        certify(make_grid_graph(2, [(0, 0), (2, 0), (1, 0)], [(0, 1)]))
 
 
 def test_default_p_max_follows_cube_root_and_clamps():
