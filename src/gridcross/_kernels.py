@@ -8,15 +8,14 @@ crossing open segments must. A batched exact classification, the array
 counterpart of the rational one in geom, decides the pairs that are left.
 
 The same code runs on int64 arrays when the spread of the coordinates (the
-largest max - min over the axes) is at most C = SAFE_COORD, and on object
-arrays of Python ints, which never wrap around, otherwise. The int64 path is
-exact because after the translation every coordinate lies in [0, C], so
-every entry of u = b - a, v = d - c and w = c - a is at most C in magnitude,
-inside the 2C for which the bound below is proven. With entries at most 2C,
-every 2x2 minor is at most 8C^2 and every product of a 2x2 minor with an
-entry at most 16C^3 < 2^63: no single product overflows. Sums of two or
-three such products may wrap around, and two checks rely on that being
-harmless:
+largest max - min over the axes) is at most 2C, C = SAFE_COORD, and on
+object arrays of Python ints, which never wrap around, otherwise. The int64
+path is exact because after the translation every coordinate lies in
+[0, 2C], so every entry of u = b - a, v = d - c, w = c - a and d - a is at
+most 2C in magnitude. Then every 2x2 minor is at most 8C^2 and every
+product of a 2x2 minor with an entry at most 16C^3 < 2^63: no single
+product overflows. Sums of two or three such products may wrap around,
+and two checks rely on that being harmless:
 
 * the prefilter's det[u, v, w] on axes 0..2, and
 * the consistency check tn*u_k - sn*v_k == det*w_k, whose two sides differ
@@ -31,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-SAFE_COORD = 800_000  # largest spread run on int64; 32 * SAFE_COORD^3 < 2^64
+SAFE_COORD = 800_000  # int64 runs spreads up to 2 * SAFE_COORD; 32 * SAFE_COORD^3 < 2^64
 BLOCK = 512  # segments per side of one bounding-box filter tile
 BATCH = 1 << 16  # candidate pairs per exact classification call
 
@@ -140,7 +139,7 @@ def crossing_pairs(A, B):
         return
     P = np.concatenate([np.array(A, dtype=object), np.array(B, dtype=object)])
     P = P - P.min(axis=0)
-    if P.max() <= SAFE_COORD:
+    if P.max() <= 2 * SAFE_COORD:
         P = P.astype(np.int64)
     A, B = P[:m], P[m:]
     dim = A.shape[1]

@@ -72,9 +72,14 @@ def _non_primitive(segs):
     return [seg for seg in segs if gcd_reduce(seg)[1] != 1]
 
 
-def _essential_pgrid(segs, p_max: int) -> BoundCertificate:
+def check_p_max(p_max: int) -> None:
+    """Raise ValidationError unless the essential-pgrid level p_max is >= 1."""
     if p_max < 1:
         raise ValidationError(f"p_max must be >= 1, got {p_max}")
+
+
+def _essential_pgrid(segs, p_max: int) -> BoundCertificate:
+    check_p_max(p_max)
     value = 0
     incidence = []
     for p in range(1, p_max + 1):
@@ -133,8 +138,7 @@ def certify(g: GridGraph, p_max: int | None = None):
     m = len(g.edges)
     if p_max is None:
         p_max = default_p_max(m, volume)
-    if p_max < 1:
-        raise ValidationError(f"p_max must be >= 1, got {p_max}")
+    check_p_max(p_max)
     segs = g.segments()
     return p_max, {
         "midpoint-bucket": lower_bound_midpoint_bucket(g, check_proper=False).value,

@@ -15,7 +15,7 @@ import math
 import sys
 
 from . import __version__
-from .bounds import certify
+from .bounds import certify, check_p_max
 from .constructions import layered_complete_bipartite, random_proper_graph, tile_bipartite
 from .counting import count_crossings_naive, count_crossings_pruned
 from .enumeration import CANDIDATE_CAP, TREE_VOLUME_CAP
@@ -77,6 +77,8 @@ def _cmd_gen(args):
 
 
 def _cmd_cross(args):
+    if args.p_max is not None:
+        check_p_max(args.p_max)
     g = _read_graph(args.graph)
     if args.reduce:
         g = reduce_edges(g)

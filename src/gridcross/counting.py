@@ -6,7 +6,8 @@ Two counters with identical results on every input:
   through the rational classification in geom. Pure Python, any magnitude.
 * count_crossings_pruned - the fast path: the one pair kernel in _kernels,
   bounding-box pruning and a vectorized exact test, on int64 arrays when
-  the coordinate spread is at most SAFE_COORD and on Python ints otherwise.
+  the coordinate spread is at most 2 * SAFE_COORD and on Python ints
+  otherwise.
 """
 
 from __future__ import annotations

@@ -13,8 +13,10 @@ split the vertex set into connected components and branch each on a clique,
 which an independent set meets at most once. Matchings branch on the
 candidates at the lowest point still covered, the rest on one max-degree
 node. Spanning trees are counted by a frontier DP over the candidate edges,
-with state (component partition, later edges still usable); a tree is
-counted once, on the one include/exclude path that takes exactly its edges.
+with state (component partition of the points still live, later edges still
+usable); a point leaves the state once its last candidate is processed, and
+a tree is counted once, on the one include/exclude path that takes exactly
+its edges.
 
 Everything here is deliberately capped: 141 candidates (the 2x11 grid) for
 the conflict graph, volume 9 for spanning trees. Up to the candidate cap the
@@ -244,34 +246,55 @@ def bose_formula(sides) -> int:
 def count_crossing_free_spanning_trees(sides, cap: int = CANDIDATE_CAP) -> int:
     """Spanning trees of the candidate graph with pairwise non-crossing edges.
 
-    Frontier DP over the candidate edges in conflict-graph order. A state is
-    one int packing each point's component (a point mask) and the mask of
-    later candidates still usable (no chosen edge conflicts with them, and
-    they join two components); it maps to its number of ways. Edge e leaves
-    every state, and where e is usable the state also merges e's components
-    and bans e's conflicts and the other edges between those components. A
-    tree is the one path that takes exactly its edges, so it is counted
-    once, when its last merge leaves one component. States with fewer usable
-    edges than components - 1 cannot finish and are dropped.
+    Raises CapExceeded above TREE_VOLUME_CAP points (before any conflict
+    graph is built) and above `cap` candidate edges.
     """
     pts = grid_points(sides)
+    if len(pts) > TREE_VOLUME_CAP:
+        raise CapExceeded(
+            f"grid volume {len(pts)} exceeds the spanning-tree cap {TREE_VOLUME_CAP}")
+    return _spanning_trees(pts, build_conflict_graph(sides, cap))
+
+
+def _spanning_trees(pts, cg: ConflictGraph) -> int:
+    """Frontier DP over the candidate edges of `cg` in conflict-graph order.
+
+    A state is one int packing each live point's component (a mask of live
+    points) and the mask of later candidates still usable (no chosen edge
+    conflicts with them, and they join two components); it maps to its
+    number of ways. Edge e leaves every state, and where e is usable the
+    state also merges e's components and bans e's conflicts and the other
+    edges between those components. A tree is the one path that takes
+    exactly its edges, so it is counted once, when its last merge leaves one
+    component. States with fewer usable edges than components - 1 cannot
+    finish and are dropped.
+
+    A point retires after its last incident candidate: it leaves every
+    component mask and its own field is zeroed, so states that differ only
+    in finished points coincide and their ways add up. A state in which a
+    component has no live point left can never connect and is dropped.
+    Later candidates touch only live points, so the merges and bans are
+    unchanged.
+    """
     volume = len(pts)
-    if volume > TREE_VOLUME_CAP:
-        raise CapExceeded(f"grid volume {volume} exceeds the spanning-tree cap {TREE_VOLUME_CAP}")
-    cg = build_conflict_graph(sides, cap)
-    ends = [(pts.index(a), pts.index(b)) for a, b in cg.candidates]
+    index = {p: i for i, p in enumerate(pts)}
+    ends = [(index[a], index[b]) for a, b in cg.candidates]
     conflicts = _neighbor_masks(cg.adjacency)
     t, full, usable = cg.size, (1 << volume) - 1, (1 << cg.size) - 1
     # Point p's component sits at bit t + volume*p of the key. For a point set
     # S, inc[S] masks the candidates touching S and adding X * rep[S] adds X to
-    # the component of every point in S.
+    # the component of every point in S. retire[e] lists the points whose last
+    # candidate is e.
     inc, rep, start = [0] * (1 << volume), [0] * (1 << volume), usable
+    retire = [[] for _ in ends]
     for p in range(volume):
         touching = sum(1 << e for e, ab in enumerate(ends) if p in ab)
         for s in range(1 << p):
             inc[s | 1 << p] = inc[s] | touching
             rep[s | 1 << p] = rep[s] | 1 << (t + volume * p)
         start += (1 << p) * rep[1 << p]
+        if touching:
+            retire[touching.bit_length() - 1].append(p)
     states = [{} for _ in range(volume)] + [{start: 1}]  # states[c]: c components
     total = int(volume == 1)  # a single point is its own spanning tree
     for e, (a, b) in enumerate(ends):
@@ -289,6 +312,17 @@ def count_crossing_free_spanning_trees(sides, cap: int = CANDIDATE_CAP) -> int:
                     child = (rest + cb * rep[ca] + ca * rep[cb]) & ~(ban | (inc[ca] & inc[cb]))
                     if (child & usable).bit_count() >= comps - 2:
                         merged[child] = merged.get(child, 0) + ways
+        for r in retire[e]:
+            shift, rbit = t + volume * r, 1 << r
+            for comps in range(2, volume + 1):
+                level = {}
+                for key, ways in nxt[comps].items():
+                    comp = key >> shift & full
+                    if comp == rbit:  # r's component has no live point left
+                        continue
+                    key -= rbit * rep[comp ^ rbit] + (comp << shift)
+                    level[key] = level.get(key, 0) + ways
+                nxt[comps] = level
         states = nxt
     return total
 

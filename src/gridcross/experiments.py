@@ -23,11 +23,12 @@ from .counting import count_crossings_naive, count_crossings_pruned
 from .enumeration import (
     CANDIDATE_CAP,
     TREE_VOLUME_CAP,
+    _spanning_trees,
     bose_formula,
     build_conflict_graph,
     count_crossing_free_matchings,
-    count_crossing_free_spanning_trees,
     count_crossing_free_subgraphs,
+    grid_points,
     max_crossing_free_edges,
     ncs_lower_formula,
     ncs_upper_formula,
@@ -182,8 +183,7 @@ def enumeration_record(sides, cap: int = CANDIDATE_CAP) -> dict:
     mis = max_crossing_free_edges(cg)
     bose = bose_formula(sides)
     upper = ncs_upper_formula(volume, len(sides)) if volume >= 2 else None
-    trees = (count_crossing_free_spanning_trees(sides, cap=cap)
-             if volume <= TREE_VOLUME_CAP else None)
+    trees = _spanning_trees(grid_points(sides), cg) if volume <= TREE_VOLUME_CAP else None
     return {
         "grid": "x".join(map(str, sides)),
         "volume": volume,

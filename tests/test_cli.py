@@ -52,13 +52,14 @@ def test_cross_all_certificates_sound(tmp_path):
 
 
 @pytest.mark.parametrize("p_max", ["0", "-1"])
-@pytest.mark.parametrize("command", ["cross", "experiment"])
-def test_p_max_below_one_is_a_validation_error(tmp_path, capsys, command, p_max):
-    if command == "cross":
+@pytest.mark.parametrize("method", [pytest.param("all-certificates", id="cross"), "naive",
+                                    "pruned", pytest.param(None, id="experiment")])
+def test_p_max_below_one_is_a_validation_error(tmp_path, capsys, method, p_max):
+    if method:
         path = tmp_path / "g.json"
         run_cli(["gen", "--kind", "random", "--sides", "4x4", "--edges", "14",
                  "--seed", "3", "--out", str(path)])
-        argv = ["cross", str(path), "--method", "all-certificates"]
+        argv = ["cross", str(path), "--method", method]
     else:
         argv = ["experiment", "--kind", "certificates", "--sides", "4x4", "--edges", "9",
                 "--seeds", "5"]

@@ -17,11 +17,11 @@ from gridcross.graph import make_grid_graph, validate_proper
 C = _kernels.SAFE_COORD
 
 # Scaling a drawing keeps every crossing. At scale 1 the fixtures run on the
-# kernel's int64 arrays. At scale SAFE_COORD every fixture whose edge
+# kernel's int64 arrays. At scale 2 * SAFE_COORD every fixture whose edge
 # endpoints span more than one unit on some axis has a spread past the int64
 # range, so the same fixtures check the kernel on Python ints. The ids name
 # the path that scale is for.
-SCALES = [pytest.param(1, id="numpy"), pytest.param(C, id="object")]
+SCALES = [pytest.param(1, id="numpy"), pytest.param(2 * C, id="object")]
 
 
 def _scaled(g, factor):
@@ -211,9 +211,10 @@ def test_crossing_pair_with_int64_overflowing_determinant_terms_is_counted():
 
 def test_pruned_path_switches_exactly_past_safe_coord(monkeypatch):
     # The kernel moves the edge endpoints to their minimum corner and runs on
-    # int64 while their spread is at most C. Positive diagonal scalings and
-    # translations keep every crossing: x spread 4 -> C, y spread 3 -> C + 1.
-    base = random_proper_graph((5, 4), m=30, seed=5)
+    # int64 while their spread is at most 2C. Positive diagonal scalings and
+    # translations keep every crossing: x spread 4 -> 2C, y spread 13 -> 2C
+    # or 2C + 1 = 13 * 123077.
+    base = random_proper_graph((5, 14), m=30, seed=5)
     ref = count_crossings_naive(base)
     crossing_rows = _kernels._crossing_rows
     dtypes = []
@@ -223,8 +224,9 @@ def test_pruned_path_switches_exactly_past_safe_coord(monkeypatch):
         return crossing_rows(At, Ut, si, sj)
 
     monkeypatch.setattr(_kernels, "_crossing_rows", spy)
-    cases = [((C // 4, C // 4, 0), C, np.int64), ((C // 4, (C + 1) // 3, 0), C + 1, object),
-             ((1, 1, 10 ** 30), 4, np.int64)]
+    cases = [((C // 2, 2 * C // 13, 0), 2 * C, np.int64),
+             ((C // 2, (2 * C + 1) // 13, 0), 2 * C + 1, object),
+             ((1, 1, 10 ** 30), 13, np.int64)]
     for (fx, fy, shift), spread, dtype in cases:
         g = make_grid_graph(2, [(fx * x + shift, fy * y + shift) for x, y in base.vertices],
                             base.edges)
@@ -266,7 +268,7 @@ def test_pruned_matches_naive_under_lattice_symmetries(data):
     # translations, an axis permutation (in 4-d it moves the fourth axis into
     # the prefilter's axes 0..2), reflections and scalings keep every crossing
     # and every edge index. The kernel undoes a translation, so only the
-    # scaling by C + 1 moves the spread out of int64, onto Python ints.
+    # scaling by 2C + 1 moves the spread out of int64, onto Python ints.
     g = data.draw(_proper_graphs())
     dim = g.dim
     perm = data.draw(st.permutations(range(dim)))
@@ -279,6 +281,6 @@ def test_pruned_matches_naive_under_lattice_symmetries(data):
                                            for a in range(dim)) for v in g.vertices], g.edges)
 
     ref = count_crossings_naive(g)
-    for h in (g, moved(1, shift), moved(C + 1, far)):
+    for h in (g, moved(1, shift), moved(2 * C + 1, far)):
         rep = count_crossings_pruned(h)
         assert (rep.total, rep.per_edge) == (ref.total, ref.per_edge)

@@ -285,17 +285,36 @@ def test_spanning_trees_against_subset_filter(sides, expected):
         assert count_crossings_naive(g).total == 0
 
 
-def test_spanning_trees_invariant_under_axis_permutation_and_unit_axes():
-    """Every grid of volume <= 9 in up to 4 dimensions has the count of its
-    sorted non-unit sides: permuting the axes or inserting length-1 axes is
-    an isometry of the point set, so the tree count cannot change."""
+# Values of the DP before finished points left its state, counted past the
+# volume cap.
+TREES_PAST_CAP = {(2, 5): 44329, (2, 6): 759114, (3, 4): 4595581, (2, 2, 3): 3113263300}
+
+
+@pytest.mark.parametrize("sides, expected", TREES_PAST_CAP.items(),
+                         ids=["x".join(map(str, s)) for s in TREES_PAST_CAP])
+def test_spanning_trees_past_the_cap(monkeypatch, sides, expected):
+    import gridcross.enumeration as enumeration
+
+    monkeypatch.setattr(enumeration, "TREE_VOLUME_CAP", 12)
+    assert count_crossing_free_spanning_trees(sides) == expected
+
+
+def test_spanning_trees_invariant_under_axis_permutation_and_unit_axes(monkeypatch):
+    """Every grid of volume <= 9 in up to 4 dimensions, and 2x5 in three
+    shapes, has the count of its sorted non-unit sides: permuting the axes
+    or inserting length-1 axes is an isometry of the point set, so the tree
+    count cannot change. The candidate order, and with it the order in which
+    points leave the DP state, does change."""
+    import gridcross.enumeration as enumeration
+
+    monkeypatch.setattr(enumeration, "TREE_VOLUME_CAP", 10)
     counts = {}
-    for dim in range(1, 5):
-        for sides in product(range(1, 10), repeat=dim):
-            if prod(sides) <= 9:
-                if core(sides) not in counts:
-                    counts[core(sides)] = count_crossing_free_spanning_trees(core(sides))
-                assert count_crossing_free_spanning_trees(sides) == counts[core(sides)], sides
+    grids = [sides for dim in range(1, 5) for sides in product(range(1, 10), repeat=dim)
+             if prod(sides) <= 9]
+    for sides in grids + [(2, 5), (5, 2), (1, 2, 5)]:
+        if core(sides) not in counts:
+            counts[core(sides)] = count_crossing_free_spanning_trees(core(sides))
+        assert count_crossing_free_spanning_trees(sides) == counts[core(sides)], sides
 
 
 def test_spanning_trees_cap(monkeypatch):
@@ -311,6 +330,23 @@ def test_spanning_trees_cap(monkeypatch):
     for sides in [(2, 5), (10,), (1, 10, 1)]:
         with pytest.raises(CapExceeded, match="spanning-tree cap"):
             count_crossing_free_spanning_trees(sides)
+
+
+def test_enumeration_record_builds_one_conflict_graph(monkeypatch):
+    import gridcross.enumeration as enumeration
+    import gridcross.experiments as experiments
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build_conflict_graph(*args, **kwargs)
+
+    monkeypatch.setattr(enumeration, "build_conflict_graph", counted)
+    monkeypatch.setattr(experiments, "build_conflict_graph", counted)
+    rec = experiments.enumeration_record((3, 3))
+    assert rec["spanning_trees"] == 24965
+    assert len(calls) == 1
 
 
 def test_memoized_counter_equals_subset_dp():
