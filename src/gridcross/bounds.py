@@ -23,10 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .counting import _require_proper
 from .errors import ValidationError
 from .geom import gcd_reduce
-from .graph import GridGraph, compute_volume
+from .graph import GridGraph, compute_volume, require_proper
 from .totients import edge_pgrid_points
 
 
@@ -41,7 +40,7 @@ class BoundCertificate:
 def lower_bound_midpoint_bucket(g: GridGraph, check_proper: bool = True) -> BoundCertificate:
     """Sum C(R, 2) over groups of edges with a common midpoint."""
     if check_proper:
-        _require_proper(g)
+        require_proper(g)
     buckets = Counter()
     for i, j in g.edges:
         u, w = g.vertices[i], g.vertices[j]
@@ -104,7 +103,7 @@ def lower_bound_essential_pgrid(g: GridGraph, p_max: int | None = None,
     collinear-overlap pairs, which would break the bound).
     """
     if check_proper:
-        _require_proper(g)
+        require_proper(g)
     segs = g.segments()
     bad = _non_primitive(segs)
     if bad:
@@ -133,7 +132,7 @@ def certify(g: GridGraph, p_max: int | None = None):
     vertices counts as volume 1. Raises ImproperGraphError if an edge passes
     through a vertex.
     """
-    _require_proper(g)
+    require_proper(g)
     volume = compute_volume(g) if g.vertices else 1
     m = len(g.edges)
     if p_max is None:

@@ -11,16 +11,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from . import __version__
 from .bounds import certify, check_p_max
 from .constructions import layered_complete_bipartite, random_proper_graph, tile_bipartite
 from .counting import count_crossings_naive, count_crossings_pruned
-from .enumeration import CANDIDATE_CAP, TREE_VOLUME_CAP
+from .enumeration import CANDIDATE_CAP, enumeration_record
 from .errors import CapExceeded, ValidationError
-from .experiments import KINDS, ExperimentConfig, emit_report, enumeration_record, run_experiment
+from .experiments import KINDS, ExperimentConfig, emit_report, run_experiment
 from .graph import compute_volume, parse_graph, reduce_edges, serialize_graph
 from .totients import partial_sums, verify_totient_inequalities
 
@@ -104,11 +103,7 @@ def _cmd_cross(args):
 
 
 def _cmd_enum(args):
-    sides = _parse_sides(args.sides)
-    volume = math.prod(sides)
-    if args.trees and volume > TREE_VOLUME_CAP:
-        raise CapExceeded(f"grid volume {volume} exceeds the spanning-tree cap {TREE_VOLUME_CAP}")
-    rec = enumeration_record(sides, cap=args.cap)
+    rec = enumeration_record(_parse_sides(args.sides), cap=args.cap)
     doc = {key: str(value) for key, value in rec.items()
            if value is not None and key not in ("consistent", "elapsed_s")}
     _write(args.out, json.dumps(doc, indent=1) + "\n")
@@ -188,8 +183,6 @@ def build_parser():
     p = sub.add_parser("enum", help="exact crossing-free counts on a small grid")
     p.add_argument("--sides", required=True, help="grid shape, e.g. 2x2 or 2x2x2")
     p.add_argument("--cap", type=int, default=CANDIDATE_CAP)
-    p.add_argument("--trees", action="store_true",
-                   help="require the spanning-tree count (errors above the volume cap)")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_enum)
 

@@ -118,11 +118,11 @@ def augment_matching_to_spanning_tree(matching: GridGraph, k: int, d: int) -> Gr
     """Grow a crossing-free inter-layer matching into a crossing-free spanning tree.
 
     Adds every unit-length axis-parallel edge inside each layer (these cannot
-    cross anything already present), then breaks cycles one at a time by
-    removing the lowest-index non-matching edge on the first cycle a DFS
-    finds. If the matching is empty, one unit edge between the layers is
-    added so the two layers can be connected at all. The result spans the
-    k x ... x k x 2 box, contains the matching, and is crossing-free.
+    cross anything already present), then breaks every cycle by leaving out
+    its lowest-index unit edge. If the matching is empty, one unit edge
+    between the layers is added so the two layers can be connected at all.
+    The result spans the k x ... x k x 2 box, contains the matching, and is
+    crossing-free.
     """
     expected = layer_grid_vertices(k, d)
     if set(matching.vertices) != set(expected) or matching.dim != d:
@@ -141,77 +141,29 @@ def augment_matching_to_spanning_tree(matching: GridGraph, k: int, d: int) -> Gr
 
     verts = expected
     index = {v: i for i, v in enumerate(verts)}
-    match_edges = []
-    for i, j in matching.edges:
-        a = index[matching.vertices[i]]
-        b = index[matching.vertices[j]]
-        match_edges.append((a, b) if a < b else (b, a))
-    match_edges.sort()
-    edges = list(match_edges)
+    edges = [(index[matching.vertices[i]], index[matching.vertices[j]]) for i, j in matching.edges]
     if not edges:
         bottom = verts[0]
         edges.append((index[bottom], index[bottom[:-1] + (2,)]))
-    keep = len(edges)  # edges below this index are never removed
-    edges.extend(sorted(set(_unit_intra_layer_edges(verts, index, d))))
+    # Kruskal: the matching (a forest) first, then the unit edges from the
+    # highest index down, so the lowest-index unit edge of every cycle is the
+    # one left out.
+    units = sorted(_unit_intra_layer_edges(verts, index, d), reverse=True)
+    root = list(range(len(verts)))
 
-    alive = [True] * len(edges)
-    while True:
-        cycle = _find_cycle(len(verts), edges, alive)
-        if cycle is None:
-            break
-        # a cycle cannot consist of matching edges alone, so a victim exists
-        victim = min(e for e in cycle if e >= keep)
-        alive[victim] = False
-    tree = [edges[e] for e in range(len(edges)) if alive[e]]
+    def find(v):
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    tree = []
+    for i, j in edges + units:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            root[ri] = rj
+            tree.append((i, j))
     return make_grid_graph(d, verts, tree)
-
-
-def _find_cycle(n, edges, alive):
-    """Indices of the edges on the first cycle found by DFS, or None."""
-    adj = [[] for _ in range(n)]
-    for ei, (i, j) in enumerate(edges):
-        if alive[ei]:
-            adj[i].append((j, ei))
-            adj[j].append((i, ei))
-    for nbrs in adj:
-        nbrs.sort()
-    seen = [False] * n
-    for root in range(n):
-        if seen[root]:
-            continue
-        parent_edge = {root: -1}
-        stack = [(root, -1)]
-        seen[root] = True
-        while stack:
-            v, via = stack.pop()
-            for w, ei in reversed(adj[v]):
-                if ei == via:
-                    continue
-                if not seen[w]:
-                    seen[w] = True
-                    parent_edge[w] = ei
-                    stack.append((w, ei))
-                else:
-                    # back edge: walk both endpoints up to the root to close the cycle
-                    return _close_cycle(v, w, ei, parent_edge, edges)
-    return None
-
-
-def _close_cycle(v, w, ei, parent_edge, edges):
-    def path_to_root(x):
-        out = []
-        while parent_edge[x] != -1:
-            e = parent_edge[x]
-            out.append(e)
-            i, j = edges[e]
-            x = j if x == i else i
-        return out
-
-    pv = path_to_root(v)
-    pw = path_to_root(w)
-    common = set(pv) & set(pw)
-    cycle = [ei] + [e for e in pv if e not in common] + [e for e in pw if e not in common]
-    return cycle
 
 
 def stack_layer_graphs(per_pair, k: int, d: int) -> GridGraph:

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import _kernels
-from .errors import ImproperGraphError
 from .geom import segments_cross
-from .graph import GridGraph, validate_proper
+from .graph import GridGraph, require_proper
 
 
 @dataclass(frozen=True)
@@ -33,16 +32,10 @@ class CrossingReport:
         return max(self.per_edge, default=0)
 
 
-def _require_proper(g: GridGraph):
-    violations = validate_proper(g)
-    if violations:
-        raise ImproperGraphError(violations)
-
-
 def count_crossings_naive(g: GridGraph, check_proper: bool = True) -> CrossingReport:
     """Reference count: classify all edge pairs with exact rational arithmetic."""
     if check_proper:
-        _require_proper(g)
+        require_proper(g)
     segs = g.segments()
     m = len(segs)
     per_edge = [0] * m
@@ -58,7 +51,7 @@ def count_crossings_naive(g: GridGraph, check_proper: bool = True) -> CrossingRe
 def count_crossings_pruned(g: GridGraph, check_proper: bool = True) -> CrossingReport:
     """Fast count; totals and per-edge histogram match the naive counter exactly."""
     if check_proper:
-        _require_proper(g)
+        require_proper(g)
     pts = g.vertices
     total, per_edge = _kernels.count_pairs([pts[i] for i, _ in g.edges],
                                            [pts[j] for _, j in g.edges])

@@ -8,11 +8,13 @@ same pair kernel that counts crossings (_kernels.crossing_pairs). Counts are
 edge-subset counts: a graph is identified with its edge set over the full
 grid, so isolated vertices never multiply anything.
 
-Subgraph and matching counts and the maximum (MIS) share one memoised search:
+Subgraph and matching counts and the maximum (MIS) share one memoised search,
+which returns the number of independent sets and the largest size together:
 split the vertex set into connected components and branch each on a clique,
 which an independent set meets at most once. Matchings branch on the
 candidates at the lowest point still covered, the rest on one max-degree
-node. Spanning trees are counted by a frontier DP over the candidate edges,
+node; enumeration_record takes a grid's subgraph count and MIS from one such
+pass. Spanning trees are counted by a frontier DP over the candidate edges,
 with state (component partition of the points still live, later edges still
 usable); a point leaves the state once its last candidate is processed, and
 a tree is counted once, on the one include/exclude path that takes exactly
@@ -27,6 +29,7 @@ Caps raise CapExceeded instead of truncating.
 from __future__ import annotations
 
 import operator
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -72,7 +75,12 @@ def candidate_pairs(pts):
 
 
 def build_conflict_graph(sides, cap: int = CANDIDATE_CAP) -> ConflictGraph:
-    """Candidate edges of the full grid and their pairwise crossing relation."""
+    """Candidate edges of the full grid and their pairwise crossing relation.
+
+    Raises ValidationError for a negative `cap` and CapExceeded when the grid
+    has more than `cap` candidate edges."""
+    if cap < 0:
+        raise ValidationError(f"cap must be >= 0, got {cap}")
     pts = grid_points(sides)
     cands = []
     for i, j in candidate_pairs(pts):
@@ -159,44 +167,52 @@ def _max_degree_node(nbr):
     return clique
 
 
-def _independent(nbr, clique, maximum=False):
-    """Independent sets of the graph with neighbour masks `nbr`: their number,
-    or with `maximum` the size of the largest. Memoised on the vertex set S;
-    each connected component branches on K = clique(component), which an
+def _independent(nbr, clique):
+    """Independent sets of the graph with neighbour masks `nbr`: (their
+    number, the size of the largest), from one memo on the vertex set S.
+    Each connected component branches on K = clique(component), which an
     independent set meets at most once: f(S) = f(S-K) + sum_{v in K}
-    f(S-K-N(v)), and components multiply. For the maximum the sum is a max,
-    taking v adds 1, and components add."""
+    f(S-K-N(v)) for the number, and the same with max and 1 + f(...) for the
+    largest. Across components numbers multiply and sizes add."""
     memo = {}
 
     def f(mask):
         if mask == 0:
-            return 0 if maximum else 1
+            return 1, 0
         cached = memo.get(mask)
         if cached is not None:
             return cached
-        total = 0 if maximum else 1
+        count, largest = 1, 0
         for comp in _components(mask, nbr):
             got = memo.get(comp)
             if got is None:
                 k = clique(comp)
                 rest = comp & ~k
-                got = f(rest)
+                n, big = f(rest)
                 while k:
                     low = k & -k
                     k ^= low
-                    sub = f(rest & ~nbr[low.bit_length() - 1])
-                    got = max(got, sub + 1) if maximum else got + sub
-                memo[comp] = got
-            total = total + got if maximum else total * got
-        memo[mask] = total
-        return total
+                    sub_n, sub_big = f(rest & ~nbr[low.bit_length() - 1])
+                    n += sub_n
+                    if sub_big >= big:
+                        big = sub_big + 1
+                got = memo[comp] = n, big
+            count *= got[0]
+            largest += got[1]
+        memo[mask] = count, largest
+        return count, largest
 
     return f((1 << len(nbr)) - 1)
 
 
-def count_independent_sets(adjacency) -> int:
+def _independent_sets(adjacency):
+    """(number, largest size) of the independent sets, by the max-degree rule."""
     nbr = _neighbor_masks(adjacency)
     return _independent(nbr, _max_degree_node(nbr))
+
+
+def count_independent_sets(adjacency) -> int:
+    return _independent_sets(adjacency)[0]
 
 
 def count_crossing_free_subgraphs(cg: ConflictGraph) -> int:
@@ -218,17 +234,15 @@ def count_crossing_free_matchings(cg: ConflictGraph) -> int:
     nbr = [(c | incidence[a] | incidence[b]) ^ (1 << e)
            for e, (c, (a, b)) in enumerate(zip(_neighbor_masks(cg.adjacency), cg.candidates))]
     points = list(incidence.values())
-    return _independent(nbr, lambda comp: next(m & comp for m in points if m & comp))
+    return _independent(nbr, lambda comp: next(m & comp for m in points if m & comp))[0]
 
 
-def max_crossing_free_edges(grid, cap: int = CANDIDATE_CAP) -> int:
+def max_crossing_free_edges(grid) -> int:
     """Maximum number of pairwise non-crossing candidate edges (exact MIS).
 
-    `grid` is either grid sides, whose conflict graph is built under `cap`,
-    or a prebuilt ConflictGraph."""
-    cg = grid if isinstance(grid, ConflictGraph) else build_conflict_graph(grid, cap)
-    nbr = _neighbor_masks(cg.adjacency)
-    return _independent(nbr, _max_degree_node(nbr), maximum=True)
+    `grid` is either grid sides or a prebuilt ConflictGraph."""
+    cg = grid if isinstance(grid, ConflictGraph) else build_conflict_graph(grid)
+    return _independent_sets(cg.adjacency)[1]
 
 
 def bose_formula(sides) -> int:
@@ -243,17 +257,17 @@ def bose_formula(sides) -> int:
     return a - b
 
 
-def count_crossing_free_spanning_trees(sides, cap: int = CANDIDATE_CAP) -> int:
+def count_crossing_free_spanning_trees(sides) -> int:
     """Spanning trees of the candidate graph with pairwise non-crossing edges.
 
-    Raises CapExceeded above TREE_VOLUME_CAP points (before any conflict
-    graph is built) and above `cap` candidate edges.
+    Raises CapExceeded above TREE_VOLUME_CAP points, before any conflict
+    graph is built.
     """
     pts = grid_points(sides)
     if len(pts) > TREE_VOLUME_CAP:
         raise CapExceeded(
             f"grid volume {len(pts)} exceeds the spanning-tree cap {TREE_VOLUME_CAP}")
-    return _spanning_trees(pts, build_conflict_graph(sides, cap))
+    return _spanning_trees(pts, build_conflict_graph(sides))
 
 
 def _spanning_trees(pts, cg: ConflictGraph) -> int:
@@ -325,6 +339,38 @@ def _spanning_trees(pts, cg: ConflictGraph) -> int:
                 nxt[comps] = level
         states = nxt
     return total
+
+
+def enumeration_record(sides, cap: int = CANDIDATE_CAP) -> dict:
+    """Exact crossing-free counts on one grid, beside the closed forms.
+
+    spanning_trees is None above TREE_VOLUME_CAP and ncs_upper is None below
+    volume 2; `consistent` checks MIS == Bose and matchings <= subgraphs <=
+    ncs_upper. Raises CapExceeded when the grid has more than `cap`
+    candidate edges.
+    """
+    start = time.perf_counter()
+    pts = grid_points(sides)
+    volume = len(pts)
+    cg = build_conflict_graph(sides, cap=cap)
+    subgraphs, mis = _independent_sets(cg.adjacency)
+    matchings = count_crossing_free_matchings(cg)
+    bose = bose_formula(sides)
+    upper = ncs_upper_formula(volume, len(sides)) if volume >= 2 else None
+    return {
+        "grid": "x".join(map(str, sides)),
+        "volume": volume,
+        "candidates": cg.size,
+        "conflicts": cg.conflict_count,
+        "max_edges": mis,
+        "bose": bose,
+        "subgraphs": subgraphs,
+        "matchings": matchings,
+        "spanning_trees": _spanning_trees(pts, cg) if volume <= TREE_VOLUME_CAP else None,
+        "ncs_upper": upper,
+        "consistent": mis == bose and matchings <= subgraphs <= (upper or subgraphs),
+        "elapsed_s": time.perf_counter() - start,
+    }
 
 
 def ncs_upper_formula(N: int, d: int) -> int:

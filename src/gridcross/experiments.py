@@ -20,19 +20,7 @@ from fractions import Fraction
 from .bounds import certify
 from .constructions import analytic_skip_bound, layered_complete_bipartite, random_proper_graph
 from .counting import count_crossings_naive, count_crossings_pruned
-from .enumeration import (
-    CANDIDATE_CAP,
-    TREE_VOLUME_CAP,
-    _spanning_trees,
-    bose_formula,
-    build_conflict_graph,
-    count_crossing_free_matchings,
-    count_crossing_free_subgraphs,
-    grid_points,
-    max_crossing_free_edges,
-    ncs_lower_formula,
-    ncs_upper_formula,
-)
+from .enumeration import enumeration_record, ncs_lower_formula
 from .errors import ValidationError
 from .graph import compute_volume
 from .totients import partial_sums
@@ -165,39 +153,6 @@ def _run_totients(config):
             "elapsed_s": time.perf_counter() - start,
         })
     return records
-
-
-def enumeration_record(sides, cap: int = CANDIDATE_CAP) -> dict:
-    """Exact crossing-free counts on one grid, beside the closed forms.
-
-    spanning_trees is None above TREE_VOLUME_CAP and ncs_upper is None below
-    volume 2; `consistent` checks MIS == Bose and matchings <= subgraphs <=
-    ncs_upper. Raises CapExceeded when the grid has more than `cap`
-    candidate edges.
-    """
-    start = time.perf_counter()
-    volume = math.prod(sides)
-    cg = build_conflict_graph(sides, cap=cap)
-    subgraphs = count_crossing_free_subgraphs(cg)
-    matchings = count_crossing_free_matchings(cg)
-    mis = max_crossing_free_edges(cg)
-    bose = bose_formula(sides)
-    upper = ncs_upper_formula(volume, len(sides)) if volume >= 2 else None
-    trees = _spanning_trees(grid_points(sides), cg) if volume <= TREE_VOLUME_CAP else None
-    return {
-        "grid": "x".join(map(str, sides)),
-        "volume": volume,
-        "candidates": cg.size,
-        "conflicts": cg.conflict_count,
-        "max_edges": mis,
-        "bose": bose,
-        "subgraphs": subgraphs,
-        "matchings": matchings,
-        "spanning_trees": trees,
-        "ncs_upper": upper,
-        "consistent": mis == bose and matchings <= subgraphs <= (upper or subgraphs),
-        "elapsed_s": time.perf_counter() - start,
-    }
 
 
 def _run_enumeration(config):

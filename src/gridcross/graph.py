@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import ImproperGraphError, ValidationError
 from .geom import gcd_reduce, point_on_open_segment
 
 
@@ -91,6 +91,13 @@ def validate_proper(g: GridGraph):
             if point_on_open_segment(x, seg):
                 violations.append((edge, idx))
     return violations
+
+
+def require_proper(g: GridGraph) -> None:
+    """Raise ImproperGraphError listing every violation of validate_proper."""
+    violations = validate_proper(g)
+    if violations:
+        raise ImproperGraphError(violations)
 
 
 def compute_volume(g: GridGraph) -> int:

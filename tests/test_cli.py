@@ -105,16 +105,21 @@ def test_enum_counts_and_caps():
     assert code == 3
     code, _ = run_cli(["enum", "--sides", "2x12"])
     assert code == 3
-    code, _ = run_cli(["enum", "--sides", "2x5", "--trees"])
-    assert code == 3  # volume 10 exceeds the spanning-tree cap
 
 
-def test_enum_trees_refuses_large_volume_before_enumerating(capsys):
-    # 9x9 is also past the candidate cap; the volume check comes first
-    assert main(["enum", "--sides", "9x9", "--trees"]) == 3
+@pytest.mark.parametrize("sides", ["1", "2x2"])
+def test_enum_rejects_negative_cap(capsys, sides):
+    # 1 has no candidate edge at all, 2x2 has 6; both refuse the cap itself
+    assert main(["enum", "--sides", sides, "--cap", "-1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: grid volume 81 exceeds the spanning-tree cap 9\n"
+    assert captured.err == "error: cap must be >= 0, got -1\n"
+
+
+def test_enum_has_no_trees_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["enum", "--sides", "2x2", "--trees"])
+    assert exc.value.code == 2
 
 
 def test_nt_table_values():

@@ -1,5 +1,9 @@
+import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations, permutations
+
 import pytest
 
 from gridcross.constructions import (
@@ -156,6 +160,36 @@ def test_augment_random_crossing_free_matchings():
         assert _is_connected(len(tree.vertices), tree.edges)
         assert set(m.edges) <= set(tree.edges)
         assert count_crossings_naive(tree).total == 0
+
+
+def test_augment_pins_the_trees_of_every_2x2x2_matching():
+    """The exact tree built from each of the 154 crossing-free inter-layer
+    matchings of the 2x2x2 box (vertices 0-3 bottom, 4-7 top, lexicographic).
+    The top layer always keeps (4,6), (5,7), (6,7), the bottom layer never
+    keeps (0,1), and which of (0,2), (1,3), (2,3) stay depends on the
+    matching. The digest covers every (matching, tree) pair."""
+    k, d = 2, 3
+    verts = layer_grid_vertices(k, d)
+    trees = {}
+    for r in range(5):
+        for bottom in combinations(range(4), r):
+            for top in permutations(range(4, 8), r):
+                m = make_grid_graph(d, verts, list(zip(bottom, top)))
+                if count_crossings_naive(m).total == 0:
+                    trees[m.edges] = augment_matching_to_spanning_tree(m, k, d).edges
+    assert len(trees) == 154
+    top_units = ((4, 6), (5, 7), (6, 7))
+    assert trees[()] == ((0, 2), (0, 4), (1, 3), (2, 3)) + top_units
+    assert trees[((0, 4),)] == ((0, 2), (0, 4), (1, 3), (2, 3)) + top_units
+    assert trees[((0, 4), (1, 5), (2, 6), (3, 7))] == (
+        (0, 4), (1, 5), (2, 6), (3, 7)) + top_units
+    assert trees[((0, 7), (1, 4))] == ((0, 7), (1, 3), (1, 4), (2, 3)) + top_units
+    kept = Counter(tuple(e for e in ((0, 2), (1, 3), (2, 3)) if e in tree)
+                   for tree in trees.values())
+    assert kept == {((0, 2), (1, 3), (2, 3)): 17, ((1, 3), (2, 3)): 31, ((0, 2), (2, 3)): 21,
+                    ((0, 2), (1, 3)): 10, ((2, 3),): 32, ((1, 3),): 16, ((0, 2),): 16, (): 11}
+    digest = hashlib.sha256(repr(sorted(trees.items())).encode()).hexdigest()
+    assert digest == "b6298794e1c071ec45d052431854807fc957d73693a666e87a60ab5ed4e7f6b2"
 
 
 def test_augment_rejects_bad_inputs():

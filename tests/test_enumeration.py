@@ -93,6 +93,10 @@ def test_build_conflict_graph_cap():
     for sides in [(2, 12), (2, 2, 5), (5, 5)]:
         with pytest.raises(CapExceeded):
             build_conflict_graph(sides)
+    assert build_conflict_graph((1,), cap=0).size == 0
+    for sides in [(1,), (2, 2)]:
+        with pytest.raises(ValidationError, match="cap must be >= 0"):
+            build_conflict_graph(sides, cap=-1)
 
 
 def test_conflict_graph_from_layered_bipartite_edges():
@@ -320,9 +324,6 @@ def test_spanning_trees_invariant_under_axis_permutation_and_unit_axes(monkeypat
 def test_spanning_trees_cap(monkeypatch):
     import gridcross.enumeration as enumeration
 
-    with pytest.raises(CapExceeded, match="candidate edges"):
-        count_crossing_free_spanning_trees((3, 3), cap=10)
-
     def no_conflict_graph(*args, **kwargs):
         raise AssertionError("conflict graph built past the volume cap")
 
@@ -333,20 +334,27 @@ def test_spanning_trees_cap(monkeypatch):
 
 
 def test_enumeration_record_builds_one_conflict_graph(monkeypatch):
+    """One conflict graph per grid, and two searches: one for the subgraph
+    count and the maximum together, one for the matchings."""
     import gridcross.enumeration as enumeration
-    import gridcross.experiments as experiments
 
-    calls = []
+    built, searched = [], []
 
-    def counted(*args, **kwargs):
-        calls.append(args)
+    def counted_graph(*args, **kwargs):
+        built.append(args)
         return build_conflict_graph(*args, **kwargs)
 
-    monkeypatch.setattr(enumeration, "build_conflict_graph", counted)
-    monkeypatch.setattr(experiments, "build_conflict_graph", counted)
-    rec = experiments.enumeration_record((3, 3))
-    assert rec["spanning_trees"] == 24965
-    assert len(calls) == 1
+    def counted_search(*args):
+        searched.append(args)
+        return _independent(*args)
+
+    monkeypatch.setattr(enumeration, "build_conflict_graph", counted_graph)
+    monkeypatch.setattr(enumeration, "_independent", counted_search)
+    rec = enumeration.enumeration_record((3, 3))
+    assert (rec["subgraphs"], rec["max_edges"], rec["matchings"], rec["spanning_trees"]) == (
+        1150976, 16, 621, 24965)
+    assert len(built) == 1
+    assert len(searched) == 2
 
 
 def test_memoized_counter_equals_subset_dp():
@@ -378,8 +386,7 @@ def test_clique_branching_with_random_cliques_matches_subset_dp():
             return rng.choice([k & comp for k in cliques if k & comp])
 
         count, biggest = brute_force_independent_sets(adjacency)
-        assert _independent(nbr, clique) == count
-        assert _independent(nbr, clique, maximum=True) == biggest
+        assert _independent(nbr, clique) == (count, biggest)
 
 
 def test_mis_matches_networkx_clique_of_complement():
