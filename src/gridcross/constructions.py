@@ -13,8 +13,10 @@ import random
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
+
 from .counting import count_crossings_naive
-from .enumeration import candidate_pairs, grid_points
+from .enumeration import candidate_blocks, grid_points
 from .errors import ValidationError
 from .graph import GridGraph, make_grid_graph
 
@@ -90,17 +92,16 @@ def random_proper_graph(sides, m: int, seed: int) -> GridGraph:
     Vertices are all grid points; candidate edges are the pairs whose open
     segment avoids every grid point. On a full grid that is the same as the
     coordinate differences being coprime, so candidates are always primitive.
-    Deterministic for a fixed seed.
+    Deterministic: the seed picks m indices into the lexicographic candidates.
     """
     if m < 0:
         raise ValidationError(f"need m >= 0 edges, got {m}")
     verts = grid_points(sides)
-    candidates = list(candidate_pairs(verts))
-    if m > len(candidates):
+    I, J = (np.concatenate(ends) for ends in zip(*candidate_blocks(verts)))
+    if m > len(I):
         raise ValidationError(
-            f"requested {m} edges but only {len(candidates)} proper candidates exist")
-    rng = random.Random(seed)
-    chosen = rng.sample(candidates, m)
+            f"requested {m} edges but only {len(I)} proper candidates exist")
+    chosen = [(int(I[t]), int(J[t])) for t in random.Random(seed).sample(range(len(I)), m)]
     return make_grid_graph(len(sides), verts, chosen)
 
 

@@ -35,12 +35,15 @@ from fractions import Fraction
 from itertools import product
 from math import comb, floor
 
+import numpy as np
+
 from ._kernels import crossing_pairs
 from .errors import CapExceeded, ValidationError
-from .geom import check_segment, gcd_reduce
+from .geom import check_segment
 
 CANDIDATE_CAP = 141
 TREE_VOLUME_CAP = 9
+_BLOCK_DIFFERENCES = 1 << 20  # coordinate differences per candidate_blocks block
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,36 +61,55 @@ class ConflictGraph:
 
 
 def grid_points(sides):
-    sides = tuple(int(s) for s in sides)
-    if not sides or any(s < 1 for s in sides):
-        raise ValidationError(f"grid sides must be positive, got {sides}")
+    sides = _grid_sides(sides)
+    if not sides:
+        raise ValidationError("a grid needs at least one side")
     return [pt for pt in product(*(range(1, s + 1) for s in sides))]
 
 
-def candidate_pairs(pts):
-    """Index pairs (i, j), i < j, of the full grid `pts` whose open segment
-    avoids every grid point, i.e. whose coordinate differences are coprime."""
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            _, g = gcd_reduce((pts[i], pts[j]))
-            if g == 1:
-                yield i, j
+def _grid_sides(sides):
+    """`sides` as a tuple of positive ints; a bool, float or string side is refused."""
+    sides = tuple(sides)
+    if not all(hasattr(s, "__index__") and not isinstance(s, bool) for s in sides):
+        raise ValidationError(f"grid sides must be integers, got {sides!r}")
+    sides = tuple(operator.index(s) for s in sides)
+    if any(s < 1 for s in sides):
+        raise ValidationError(f"grid sides must be positive, got {sides}")
+    return sides
+
+
+def candidate_blocks(pts):
+    """Index arrays (I, J) of the pairs i < j of the full grid `pts` with
+    coprime coordinate differences (their open segment avoids every grid
+    point), in lexicographic order, one (I, J) per block of rows i. A block
+    holds at most about 2^20 differences, so memory stays bounded and a caller
+    can stop early. Grid differences are below the largest side: int64 is exact."""
+    P = np.array(pts, dtype=np.int64)
+    n, d = P.shape
+    step = max(1, _BLOCK_DIFFERENCES // (n * d))
+    for start in range(0, n, step):
+        rows, cols = np.arange(start, min(n, start + step)), np.arange(start + 1, n)
+        g = np.abs(P[cols, 0] - P[rows, 0, None])
+        for k in range(1, d):
+            np.gcd(g, P[cols, k] - P[rows, k, None], out=g)
+        I, J = np.nonzero((g == 1) & (cols > rows[:, None]))
+        yield I + start, J + start + 1
 
 
 def build_conflict_graph(sides, cap: int = CANDIDATE_CAP) -> ConflictGraph:
     """Candidate edges of the full grid and their pairwise crossing relation.
 
     Raises ValidationError for a negative `cap` and CapExceeded when the grid
-    has more than `cap` candidate edges."""
+    has more than `cap` candidate edges, as soon as a block passes it."""
     if cap < 0:
         raise ValidationError(f"cap must be >= 0, got {cap}")
     pts = grid_points(sides)
     cands = []
-    for i, j in candidate_pairs(pts):
-        cands.append((pts[i], pts[j]))
-        if len(cands) > cap:
+    for I, J in candidate_blocks(pts):
+        if len(cands) + len(I) > cap:
             raise CapExceeded(
                 f"grid {tuple(sides)} has more than {cap} candidate edges")
+        cands += [(pts[i], pts[j]) for i, j in zip(I.tolist(), J.tolist())]
     return _conflict_graph(cands)
 
 
@@ -247,11 +269,8 @@ def max_crossing_free_edges(grid) -> int:
 
 def bose_formula(sides) -> int:
     """prod(2*X_i - 1) - prod(X_i): the exact crossing-free edge maximum."""
-    sides = tuple(int(s) for s in sides)
-    if any(s < 1 for s in sides):
-        raise ValidationError(f"grid sides must be positive, got {sides}")
     a = b = 1
-    for s in sides:
+    for s in _grid_sides(sides):
         a *= 2 * s - 1
         b *= s
     return a - b

@@ -84,6 +84,18 @@ def test_random_proper_graph_deterministic_and_proper():
     assert g3 != g1
 
 
+@pytest.mark.parametrize("sides, m, seed, digest", [
+    ((3, 3, 4), 25, 3, "c01fb34a8cd71498e9866c69a6990095e8603c37365524613c7507d9296b5289"),
+    ((2, 2, 2, 8), 60, 5, "c8a5ac387bea2521be82d38387a0d6944d2e9766168247d4636318127a5af0de"),
+])
+def test_random_proper_graph_edges_are_pinned(sides, m, seed, digest):
+    """sha256 of repr(edges) for a 3-d and a 4-d grid of the random-certify
+    benchmark, taken from the pair-by-pair gcd scan: the seed draws the same
+    graph from the vectorised candidate table."""
+    g = random_proper_graph(sides, m, seed)
+    assert hashlib.sha256(repr(g.edges).encode()).hexdigest() == digest
+
+
 def test_random_proper_graph_full_candidate_set_on_2x2():
     g = random_proper_graph((2, 2), 6, seed=0)
     assert len(g.edges) == 6  # all pairs of the 2x2 grid are primitive

@@ -1,17 +1,22 @@
 import random
+import tracemalloc
 from fractions import Fraction
-from itertools import combinations, islice, product
+from itertools import combinations, product
 from math import gcd, prod
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gridcross import enumeration
+from gridcross.constructions import random_proper_graph
 from gridcross.enumeration import (
     CANDIDATE_CAP,
     ConflictGraph,
     bose_formula,
     build_conflict_graph,
-    candidate_pairs,
+    candidate_blocks,
     conflict_graph_from_segments,
     count_crossing_free_matchings,
     count_crossing_free_spanning_trees,
@@ -24,7 +29,7 @@ from gridcross.enumeration import (
 )
 from gridcross.enumeration import _independent
 from gridcross.errors import CapExceeded, ValidationError
-from gridcross.geom import CrossKind, segments_cross
+from gridcross.geom import CrossKind, gcd_reduce, segments_cross
 
 
 def brute_force_independent_sets(adjacency):
@@ -67,9 +72,45 @@ def core(sides):
     return tuple(sorted(s for s in sides if s > 1)) or (1,)
 
 
-def candidate_count(sides, limit):
-    """Candidates of the grid, counted up to limit + 1."""
-    return sum(1 for _ in islice(candidate_pairs(grid_points(sides)), limit + 1))
+def candidate_count(sides):
+    return sum(len(I) for I, _ in candidate_blocks(grid_points(sides)))
+
+
+def candidate_list(pts):
+    return [(int(i), int(j)) for I, J in candidate_blocks(pts) for i, j in zip(I, J)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(sides=st.integers(1, 4).flatmap(
+    lambda d: st.lists(st.integers(1, {1: 80, 2: 20, 3: 8, 4: 5}[d]), min_size=d, max_size=d)
+).filter(lambda sides: prod(sides) <= 80))
+def test_candidate_blocks_match_the_gcd_scan(sides):
+    """The blocks are exactly the pairs i < j with coprime differences, in
+    lexicographic order, on random grids of dimension 1..4 and up to 80
+    points (1-point grids included), also when blocks hold a few rows."""
+    pts = grid_points(sides)
+    expected = [(i, j) for i in range(len(pts)) for j in range(i + 1, len(pts))
+                if gcd_reduce((pts[i], pts[j]))[1] == 1]
+    assert candidate_list(pts) == expected
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(enumeration, "_BLOCK_DIFFERENCES", 150)
+        assert candidate_list(pts) == expected
+
+
+def test_candidate_blocks_split_large_grids_in_order():
+    """A grid whose pairs need several blocks yields each pair once, in
+    order: 40x40 has 1600 points and about 2.6 million differences."""
+    pts = grid_points((40, 40))
+    blocks = list(candidate_blocks(pts))
+    assert len(blocks) > 1
+    I, J = (np.concatenate(ends) for ends in zip(*blocks))
+    key = I * len(pts) + J
+    assert np.all(np.diff(key) > 0) and np.all(I < J)
+    P = np.array(pts)
+    assert np.all(np.gcd.reduce(np.abs(P[J] - P[I]), axis=1) == 1)
+    # each coprime step (a, b) joins (40 - |a|)(40 - |b|) ordered point pairs
+    assert 2 * len(I) == sum((40 - abs(a)) * (40 - abs(b)) for a in range(-39, 40)
+                             for b in range(-39, 40) if gcd(a, b) == 1)
 
 
 def test_build_conflict_graph_examples():
@@ -97,6 +138,30 @@ def test_build_conflict_graph_cap():
     for sides in [(1,), (2, 2)]:
         with pytest.raises(ValidationError, match="cap must be >= 0"):
             build_conflict_graph(sides, cap=-1)
+
+
+def test_cap_refusal_stops_after_the_first_block():
+    """60x60 has 6.5 million point pairs and 3.9 million candidates; one
+    table of all their differences would take over 100 MB. The refusal comes
+    after the first block and stays below 16 MB."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded, match="candidate edges"):
+            build_conflict_graph((60, 60))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
+@pytest.mark.parametrize("sides", [(2.7, 2), (True, 2), ("3", 2), (2, None), (2, 2.0)])
+def test_non_integer_sides_are_refused(sides):
+    """A side is never rounded or converted: floats, bools and strings raise."""
+    for build in (build_conflict_graph, lambda s: random_proper_graph(s, 1, seed=0),
+                  bose_formula, max_crossing_free_edges):
+        with pytest.raises(ValidationError, match="must be integers"):
+            build(sides)
+    assert grid_points((np.int64(2), 1)) == [(1, 1), (2, 1)]
 
 
 def test_conflict_graph_from_layered_bipartite_edges():
@@ -409,7 +474,7 @@ def test_mis_equals_bose_formula():
     prebuilt conflict graph, and paths up to the one at the cap."""
     grids = {sides for dim in range(2, 5) for sides in side_tuples(dim, CANDIDATE_CAP + 1)
              if min(sides) >= 2 and sides == core(sides)
-             and candidate_count(sides, CANDIDATE_CAP) <= CANDIDATE_CAP}
+             and candidate_count(sides) <= CANDIDATE_CAP}
     assert len(grids) == 22 and (2, 11) in grids
     for sides in sorted(grids) + [(1,), (2,), (7,), (CANDIDATE_CAP + 1,)]:
         assert max_crossing_free_edges(sides) == bose_formula(sides), sides
@@ -429,7 +494,7 @@ def test_counts_invariant_under_axis_permutation_and_unit_axes():
         for sides in side_tuples(length, 61):
             c = core(sides)
             if c not in counts:
-                counts[c] = counts_of(c) if candidate_count(c, 60) <= 60 else None
+                counts[c] = counts_of(c) if candidate_count(c) <= 60 else None
             if counts[c] is not None:
                 assert counts_of(sides) == counts[c], sides
 
