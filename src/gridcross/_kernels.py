@@ -24,6 +24,18 @@ and two checks rely on that being harmless:
 int64 arithmetic is exact modulo 2^64, and a 3x3 determinant with entries of
 magnitude at most 2C is at most 4*(2C)^3 = 32C^3 < 2^64 in magnitude. So
 such a determinant computes as 0 exactly when it is 0.
+
+The working set is fixed. Apart from O(m*d) copies of the endpoints, the
+kernel holds one tile and one chunk at a time. A tile of the bounding-box
+filter is at most BLOCK x BLOCK = 2^16 pairs, and its survivors' two index
+arrays take at most 1 MiB. A chunk sends at most BATCH = 2^14 of them to
+the exact classification, which keeps a few dozen entries per row alive at
+its peak (about 50 in 4-d). So for d <= 4 the transient arrays stay under
+10 MB on the int64 path, whatever m is and however many pairs survive; that
+worst case needs every pair of a tile to pass both filters. tracemalloc
+peaks of count_pairs on the layered and tiled drawings and on 2-d graphs
+of up to 4096 edges are 2-5 MB. On the object path the same arrays hold the
+same number of entries, each a Python int.
 """
 
 from __future__ import annotations
@@ -31,8 +43,8 @@ from __future__ import annotations
 import numpy as np
 
 SAFE_COORD = 800_000  # int64 runs spreads up to 2 * SAFE_COORD; 32 * SAFE_COORD^3 < 2^64
-BLOCK = 512  # segments per side of one bounding-box filter tile
-BATCH = 1 << 16  # candidate pairs per exact classification call
+BLOCK = 256  # segments per side of one bounding-box filter tile (<= 2^16 pairs, 1 MiB of indices)
+BATCH = 1 << 14  # candidate pairs per exact classification call (a few MB at d = 4)
 
 
 def _minor_index_arrays(dim):

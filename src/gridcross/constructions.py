@@ -10,10 +10,9 @@ so they are primitive and the drawing is proper by construction.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import product
-
-import numpy as np
 
 from .counting import count_crossings_naive
 from .enumeration import candidate_blocks, grid_points
@@ -93,15 +92,27 @@ def random_proper_graph(sides, m: int, seed: int) -> GridGraph:
     segment avoids every grid point. On a full grid that is the same as the
     coordinate differences being coprime, so candidates are always primitive.
     Deterministic: the seed picks m indices into the lexicographic candidates.
+    The candidate blocks are counted first and made again to look the picks
+    up, so memory holds at most one block besides the one being made, never
+    the whole table; a grid of one block is made once.
     """
     if m < 0:
         raise ValidationError(f"need m >= 0 edges, got {m}")
     verts = grid_points(sides)
-    I, J = (np.concatenate(ends) for ends in zip(*candidate_blocks(verts)))
-    if m > len(I):
+    total = blocks = 0
+    for block in candidate_blocks(verts):
+        total += len(block[0])
+        blocks += 1
+    if m > total:
         raise ValidationError(
-            f"requested {m} edges but only {len(I)} proper candidates exist")
-    chosen = [(int(I[t]), int(J[t])) for t in random.Random(seed).sample(range(len(I)), m)]
+            f"requested {m} edges but only {total} proper candidates exist")
+    # make_grid_graph sorts the edges, so the picks are looked up in order
+    picks = sorted(random.Random(seed).sample(range(total), m))
+    chosen, start = [], 0
+    for I, J in [block] if blocks == 1 else candidate_blocks(verts):
+        lo, hi = bisect_left(picks, start), bisect_left(picks, start + len(I))
+        chosen += [(int(I[t - start]), int(J[t - start])) for t in picks[lo:hi]]
+        start += len(I)
     return make_grid_graph(len(sides), verts, chosen)
 
 

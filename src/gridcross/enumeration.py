@@ -61,15 +61,15 @@ class ConflictGraph:
 
 
 def grid_points(sides):
-    sides = _grid_sides(sides)
-    if not sides:
-        raise ValidationError("a grid needs at least one side")
-    return [pt for pt in product(*(range(1, s + 1) for s in sides))]
+    return [pt for pt in product(*(range(1, s + 1) for s in _grid_sides(sides)))]
 
 
 def _grid_sides(sides):
-    """`sides` as a tuple of positive ints; a bool, float or string side is refused."""
+    """`sides` as a non-empty tuple of positive ints; a bool, float or string
+    side is refused."""
     sides = tuple(sides)
+    if not sides:
+        raise ValidationError("a grid needs at least one side")
     if not all(hasattr(s, "__index__") and not isinstance(s, bool) for s in sides):
         raise ValidationError(f"grid sides must be integers, got {sides!r}")
     sides = tuple(operator.index(s) for s in sides)
@@ -88,12 +88,21 @@ def candidate_blocks(pts):
     n, d = P.shape
     step = max(1, _BLOCK_DIFFERENCES // (n * d))
     for start in range(0, n, step):
-        rows, cols = np.arange(start, min(n, start + step)), np.arange(start + 1, n)
-        g = np.abs(P[cols, 0] - P[rows, 0, None])
-        for k in range(1, d):
-            np.gcd(g, P[cols, k] - P[rows, k, None], out=g)
-        I, J = np.nonzero((g == 1) & (cols > rows[:, None]))
-        yield I + start, J + start + 1
+        yield _coprime_pairs(P, start, min(n, start + step))
+
+
+def _coprime_pairs(P, start, stop):
+    # one block: the pairs i < j, start <= i < stop, of rows of P with
+    # coprime differences; the difference table is freed on return, before
+    # the caller asks for the next block
+    rows, cols = np.arange(start, stop), np.arange(start + 1, len(P))
+    g = np.abs(P[cols, 0] - P[rows, 0, None])
+    for k in range(1, P.shape[1]):
+        np.gcd(g, P[cols, k] - P[rows, k, None], out=g)
+    I, J = np.nonzero((g == 1) & (cols > rows[:, None]))
+    I += start
+    J += start + 1
+    return I, J
 
 
 def build_conflict_graph(sides, cap: int = CANDIDATE_CAP) -> ConflictGraph:

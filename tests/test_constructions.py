@@ -1,11 +1,14 @@
 import hashlib
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
 
+import numpy as np
 import pytest
 
+from gridcross import constructions, enumeration
 from gridcross.constructions import (
     analytic_skip_bound,
     augment_matching_to_spanning_tree,
@@ -94,6 +97,46 @@ def test_random_proper_graph_edges_are_pinned(sides, m, seed, digest):
     graph from the vectorised candidate table."""
     g = random_proper_graph(sides, m, seed)
     assert hashlib.sha256(repr(g.edges).encode()).hexdigest() == digest
+
+
+def test_random_proper_graph_picks_across_blocks():
+    """Split into blocks of a few rows, the candidates give the same graphs as
+    one table of all of them, indexed by the same seeded sample; a grid of
+    one block is generated once, a larger one twice (count, then look up)."""
+    calls = []
+
+    def counted(pts):
+        calls.append(len(pts))
+        return enumeration.candidate_blocks(pts)
+
+    for sides, m, seed in [((4, 5), 30, 1), ((3, 3, 3), 50, 2), ((2, 2, 2, 3), 60, 3)]:
+        I, J = (np.concatenate(ends) for ends in
+                zip(*enumeration.candidate_blocks(enumeration.grid_points(sides))))
+        picks = random.Random(seed).sample(range(len(I)), m)
+        want = tuple(sorted((int(I[t]), int(J[t])) for t in picks))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(constructions, "candidate_blocks", counted)
+            calls.clear()
+            assert random_proper_graph(sides, m, seed).edges == want
+            assert len(calls) == 1
+            mp.setattr(enumeration, "_BLOCK_DIFFERENCES", 40)
+            calls.clear()
+            assert random_proper_graph(sides, m, seed).edges == want
+            assert len(calls) == 2
+
+
+def test_random_proper_graph_memory_does_not_grow_with_the_grid():
+    """40x40 has 0.8 million candidates and 50x50 has 1.9 million; drawing 10
+    edges from either holds one block of candidates, not all of them."""
+    for sides in [(40, 40), (50, 50)]:
+        tracemalloc.start()
+        try:
+            g = random_proper_graph(sides, 10, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(g.edges) == 10 and validate_proper(g) == []
+        assert peak < 16 * 2 ** 20, sides
 
 
 def test_random_proper_graph_full_candidate_set_on_2x2():

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 from itertools import combinations, product
 
@@ -105,6 +106,58 @@ def test_pruned_matches_naive_bulk_500():
         assert got.per_edge == ref.per_edge
 
 
+def _endpoints(g):
+    return [g.vertices[i] for i, _ in g.edges], [g.vertices[j] for _, j in g.edges]
+
+
+@pytest.mark.parametrize("build, total", [
+    pytest.param(lambda: layered_complete_bipartite(6, 3), 27622, id="layered-k6-d3"),
+    pytest.param(lambda: layered_complete_bipartite(3, 4), 4533, id="layered-k3-d4"),
+    pytest.param(lambda: layered_complete_bipartite(8, 3), 188024, id="layered-k8-d3"),
+    pytest.param(lambda: layered_complete_bipartite(4, 4), 68856, id="layered-k4-d4"),
+    pytest.param(lambda: layered_complete_bipartite(40, 2), 608400, id="layered-k40-d2"),
+    pytest.param(lambda: random_proper_graph((40, 40), 3000, 1), 1023315, id="random-40x40"),
+])
+def test_kernel_working_set_does_not_grow_with_m(build, total):
+    """One tracemalloc bound holds from m = 729 to m = 4096 edges, in 2-d, 3-d
+    and 4-d, with 4533 to a million crossing pairs: the kernel holds one
+    tile and one chunk at a time (see the _kernels docstring)."""
+    A, B = _endpoints(build())
+    tracemalloc.start()
+    try:
+        got, per_edge = _kernels.count_pairs(A, B)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == total and per_edge.sum() == 2 * total
+    assert peak < 6 * 2 ** 20
+
+
+def test_pruned_matches_naive_across_tile_and_chunk_seams(monkeypatch):
+    """With 3-segment tiles and 5-pair chunks even small graphs run through
+    off-diagonal tiles and tiles split over several chunks."""
+    monkeypatch.setattr(_kernels, "BLOCK", 3)
+    monkeypatch.setattr(_kernels, "BATCH", 5)
+    crossing_rows = _kernels._crossing_rows
+    chunks = []
+
+    def spy(At, Ut, si, sj):
+        chunks.append(si.size)
+        return crossing_rows(At, Ut, si, sj)
+
+    monkeypatch.setattr(_kernels, "_crossing_rows", spy)
+    rng = random.Random(12)
+    grids = [(6, 6), (5, 7), (4, 4, 3), (3, 3, 3), (2, 3, 2, 3), (2, 2, 2, 4)]
+    graphs = [layered_complete_bipartite(3, 3)]
+    for trial, sides in enumerate(grids):
+        graphs.append(random_proper_graph(sides, m=rng.randint(20, 40), seed=700 + trial))
+    for g in graphs:
+        ref = count_crossings_naive(g)
+        got = count_crossings_pruned(g)
+        assert (got.total, got.per_edge) == (ref.total, ref.per_edge)
+    assert max(chunks) == 5 and min(chunks) < 5
+
+
 def test_pruned_empty_and_single_edge():
     g = make_grid_graph(2, [(1, 1), (2, 2)], [])
     assert count_crossings_pruned(g).total == 0
@@ -119,9 +172,7 @@ def test_pruned_huge_coordinates_fall_back_to_exact_path():
                         [(0, 1), (2, 3)])
     rep = count_crossings_pruned(g)
     assert rep.total == 1
-    A = [g.vertices[i] for i, _ in g.edges]
-    B = [g.vertices[j] for _, j in g.edges]
-    total, per_edge = _kernels.count_pairs(A, B)
+    total, per_edge = _kernels.count_pairs(*_endpoints(g))
     assert total == 1 and per_edge.tolist() == [1, 1]
 
 

@@ -164,6 +164,14 @@ def test_non_integer_sides_are_refused(sides):
     assert grid_points((np.int64(2), 1)) == [(1, 1), (2, 1)]
 
 
+def test_empty_grid_is_refused():
+    """A grid needs a side: the point set and the Bose formula refuse () alike."""
+    for build in (grid_points, bose_formula, build_conflict_graph, max_crossing_free_edges,
+                  lambda s: random_proper_graph(s, 0, seed=0)):
+        with pytest.raises(ValidationError, match="at least one side"):
+            build(())
+
+
 def test_conflict_graph_from_layered_bipartite_edges():
     from gridcross.constructions import layered_complete_bipartite
 
