@@ -21,7 +21,7 @@ from .enumeration import CANDIDATE_CAP, enumeration_record
 from .errors import CapExceeded, ValidationError
 from .experiments import KINDS, ExperimentConfig, emit_report, run_experiment
 from .graph import compute_volume, parse_graph, reduce_edges, serialize_graph
-from .totients import partial_sums, verify_totient_inequalities
+from .totients import verify_totient_inequalities
 
 
 def _parse_sides(text):
@@ -69,8 +69,6 @@ def _cmd_gen(args):
             raise ValidationError("gen --kind random requires --seed")
         sides = _parse_sides(args.sides) if args.sides else (args.side,) * args.dim
         g = random_proper_graph(sides, args.edges, args.seed)
-    if args.reduce:
-        g = reduce_edges(g)
     _write(args.out, serialize_graph(g) + "\n")
     return 0
 
@@ -81,7 +79,11 @@ def _cmd_cross(args):
     g = _read_graph(args.graph)
     if args.reduce:
         g = reduce_edges(g)
-    rep = count_crossings_naive(g) if args.method == "naive" else count_crossings_pruned(g)
+    if args.method == "all-certificates":
+        p_max, values = certify(g, args.p_max)  # checks properness, so the count does not
+        rep = count_crossings_pruned(g, check_proper=False)
+    else:
+        rep = count_crossings_naive(g) if args.method == "naive" else count_crossings_pruned(g)
     doc = {
         "dim": g.dim,
         "vertices": len(g.vertices),
@@ -92,7 +94,6 @@ def _cmd_cross(args):
         "per_edge_max": rep.per_edge_max,
     }
     if args.method == "all-certificates":
-        p_max, values = certify(g, args.p_max)
         doc["p_max"] = p_max
         doc["certificates"] = {kind: None if v is None else str(v) for kind, v in values.items()}
         doc["sound"] = all(v is None or v <= rep.total for v in values.values())
@@ -105,31 +106,26 @@ def _cmd_cross(args):
 def _cmd_enum(args):
     rec = enumeration_record(_parse_sides(args.sides), cap=args.cap)
     doc = {key: str(value) for key, value in rec.items()
-           if value is not None and key not in ("consistent", "elapsed_s")}
+           if value is not None and key != "consistent"}
     _write(args.out, json.dumps(doc, indent=1) + "\n")
     return 0
 
 
 def _cmd_nt(args):
-    lines = []
     if args.check:
         rep = verify_totient_inequalities(args.n_max, log_c=args.log_c)
-        lines.append("n_max,square_sum_below_cube,eleventh_holds_from,"
-                     "log_window_start,log_ratio_min,log_c_required,log_bound_ok")
-        lines.append(",".join([
-            str(rep.n_max),
-            "true" if rep.square_sum_strictly_below_cube else "false",
-            str(rep.eleventh_holds_from),
-            str(rep.log_window_start),
-            repr(rep.log_ratio_min),
-            repr(rep.log_c_required),
-            "true" if rep.log_bound_ok else "false",
-        ]))
+        records = [{
+            "n_max": rep.n_max,
+            "square_sum_below_cube": rep.square_sum_strictly_below_cube,
+            "eleventh_holds_from": rep.eleventh_holds_from,
+            "log_window_start": rep.log_window_start,
+            "log_ratio_min": rep.log_ratio_min,
+            "log_c_required": rep.log_c_required,
+            "log_bound_ok": rep.log_bound_ok,
+        }]
     else:
-        lines.append("n,phi,s1,s2,s3,s3_float")
-        for n, f, s1, s2, s3 in partial_sums(args.n_max):
-            lines.append(f"{n},{f},{s1},{s2},{s3},{float(s3)!r}")
-    _write(args.out, "\n".join(lines) + "\n")
+        records = run_experiment(ExperimentConfig(kind="totients", n_max=args.n_max))
+    _write(args.out, emit_report(records))
     return 0
 
 
@@ -144,8 +140,8 @@ def _cmd_experiment(args):
         p_max=args.p_max,
         n_max=args.n_max,
     )
-    records = run_experiment(config)
-    _write(args.out, emit_report(records, fmt=args.format, include_timing=args.timings))
+    records = run_experiment(config, timings=args.timings)
+    _write(args.out, emit_report(records, fmt=args.format))
     return 0
 
 
@@ -165,8 +161,6 @@ def build_parser():
     p.add_argument("--sides", help="explicit grid shape for --kind random, e.g. 4x4")
     p.add_argument("--edges", type=int, default=12)
     p.add_argument("--seed", type=int)
-    p.add_argument("--reduce", action="store_true",
-                   help="shrink non-primitive edges to their first lattice step")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_gen)
 
@@ -205,7 +199,8 @@ def build_parser():
     p.add_argument("--n-max", type=int, default=100, dest="n_max")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--timings", action="store_true",
-                   help="include wall-clock columns (breaks byte-reproducibility)")
+                   help="add a last column with the seconds spent on each record "
+                        "(breaks byte-reproducibility)")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_experiment)
     return parser

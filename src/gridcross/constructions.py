@@ -51,7 +51,7 @@ def tile_bipartite(k: int, side: int, d: int) -> GridGraph:
         raise ValidationError(f"need k >= 1 and side >= 1, got k={k}, side={side}")
     if side % k != 0:
         raise ValidationError(f"block side {k} does not divide {side}")
-    verts = [xs + (z,) for z in (1, 2) for xs in product(range(1, side + 1), repeat=d - 1)]
+    verts = layer_grid_vertices(side, d)
     index = {v: i for i, v in enumerate(verts)}
     edges = []
     blocks = product(range(side // k), repeat=d - 1)
@@ -190,7 +190,7 @@ def stack_layer_graphs(per_pair, k: int, d: int) -> GridGraph:
     """
     if k < 1 or d < 2:
         raise ValidationError(f"need k >= 1 and d >= 2, got k={k}, d={d}")
-    verts = [pt for pt in product(*([range(1, k + 1)] * d))]
+    verts = grid_points((k,) * d)
     index = {v: i for i, v in enumerate(verts)}
     edges = []
     for layer in sorted(per_pair):

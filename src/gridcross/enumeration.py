@@ -29,7 +29,6 @@ Caps raise CapExceeded instead of truncating.
 from __future__ import annotations
 
 import operator
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -377,7 +376,6 @@ def enumeration_record(sides, cap: int = CANDIDATE_CAP) -> dict:
     ncs_upper. Raises CapExceeded when the grid has more than `cap`
     candidate edges.
     """
-    start = time.perf_counter()
     pts = grid_points(sides)
     volume = len(pts)
     cg = build_conflict_graph(sides, cap=cap)
@@ -397,7 +395,6 @@ def enumeration_record(sides, cap: int = CANDIDATE_CAP) -> dict:
         "spanning_trees": _spanning_trees(pts, cg) if volume <= TREE_VOLUME_CAP else None,
         "ncs_upper": upper,
         "consistent": mis == bose and matchings <= subgraphs <= (upper or subgraphs),
-        "elapsed_s": time.perf_counter() - start,
     }
 
 

@@ -2,9 +2,12 @@
 
 Every sweep is deterministic given its config: randomness flows only through
 explicit seeds, and records keep exact quantities exact (ints and Fractions;
-floats appear only in clearly derived ratio columns). Wall-clock timings are
-measured but kept out of emitted documents unless explicitly requested, so
-that identical configs emit byte-identical output.
+floats appear only in clearly derived ratio columns). Each runner is a
+generator of plain records, so equal configs give equal records.
+`run_experiment` is the one place that measures time: with `timings=True`
+it appends `elapsed_s`, the wall-clock seconds spent producing each record,
+which breaks byte-reproducibility of the emitted document. `emit_report`
+renders whatever keys its records have.
 """
 
 from __future__ import annotations
@@ -38,23 +41,29 @@ class ExperimentConfig:
     n_max: int = 100
 
 
-def run_experiment(config: ExperimentConfig):
+def run_experiment(config: ExperimentConfig, timings: bool = False) -> list:
+    """The records of one sweep; with timings, each gets a trailing `elapsed_s`."""
     runner = RUNNERS.get(config.kind)
     if runner is None:
         raise ValidationError(f"unknown experiment kind {config.kind!r}; choose from {KINDS}")
-    return runner(config)
+    records = []
+    start = time.perf_counter()
+    for rec in runner(config):
+        if timings:
+            rec["elapsed_s"] = time.perf_counter() - start
+        records.append(rec)
+        start = time.perf_counter()
+    return records
 
 
 def _run_growth3d(config):
     if not config.k_values or min(config.k_values) < 2:
         raise ValidationError("growth3d needs k values >= 2")
-    records = []
     for k in config.k_values:
-        start = time.perf_counter()
         g = layered_complete_bipartite(k, 3)
         rep = count_crossings_pruned(g, check_proper=False)
         bound = analytic_skip_bound(k, 3)
-        records.append({
+        yield {
             "k": k,
             "vertices": len(g.vertices),
             "edges": len(g.edges),
@@ -65,9 +74,7 @@ def _run_growth3d(config):
             "skip_bound": bound,
             "skip_bound_float": float(bound),
             "crossings_per_k6lnk": rep.total / (k ** 6 * math.log(k)),
-            "elapsed_s": time.perf_counter() - start,
-        })
-    return records
+        }
 
 
 def _run_growth_hd(config):
@@ -75,17 +82,15 @@ def _run_growth_hd(config):
         raise ValidationError("growth_hd needs k values >= 1")
     if config.dim < 4:
         raise ValidationError(f"growth_hd needs dim >= 4, got {config.dim}")
-    records = []
     d = config.dim
     for k in config.k_values:
-        start = time.perf_counter()
         g = layered_complete_bipartite(k, d)
         rep = count_crossings_pruned(g, check_proper=False)
         bound = analytic_skip_bound(k, d)
         layer = k ** (d - 1)
         n_points = 2 * layer
         c_admissible = (bound + 1) / n_points
-        records.append({
+        yield {
             "k": k,
             "dim": d,
             "layer_size": layer,
@@ -98,9 +103,7 @@ def _run_growth_hd(config):
             "crossings_per_l3": rep.total / layer ** 3,
             "c_admissible": c_admissible,
             "ncs_lower": ncs_lower_formula(n_points, c_admissible),
-            "elapsed_s": time.perf_counter() - start,
-        })
-    return records
+        }
 
 
 def _run_certificates(config):
@@ -110,15 +113,13 @@ def _run_certificates(config):
         raise ValidationError("certificates needs at least one grid shape")
     if config.edges < 1:
         raise ValidationError("certificates needs edges >= 1")
-    records = []
     for sides in config.sides:
         for seed in config.seeds:
-            start = time.perf_counter()
             g = random_proper_graph(sides, config.edges, seed)
             exact = count_crossings_naive(g, check_proper=False)
             pruned = count_crossings_pruned(g, check_proper=False)
             p_max, values = certify(g, config.p_max)
-            records.append({
+            yield {
                 "grid": "x".join(map(str, sides)),
                 "seed": seed,
                 "vertices": len(g.vertices),
@@ -132,33 +133,26 @@ def _run_certificates(config):
                 "greedy_removal": values["greedy-removal"],
                 "midpoint_formula": values["midpoint-formula"],
                 "sound": all(v is None or v <= exact.total for v in values.values()),
-                "elapsed_s": time.perf_counter() - start,
-            })
-    return records
+            }
 
 
 def _run_totients(config):
-    if config.n_max < 1:
-        raise ValidationError("totients needs n_max >= 1")
-    start = time.perf_counter()
-    records = []
     for n, f, s1, s2, s3 in partial_sums(config.n_max):
-        records.append({
+        yield {
             "n": n,
             "phi": f,
             "s1": s1,
             "s2": s2,
             "s3": s3,
             "s3_float": float(s3),
-            "elapsed_s": time.perf_counter() - start,
-        })
-    return records
+        }
 
 
 def _run_enumeration(config):
     if not config.sides:
         raise ValidationError("enumeration needs at least one grid shape")
-    return [enumeration_record(sides) for sides in config.sides]
+    for sides in config.sides:
+        yield enumeration_record(sides)
 
 
 RUNNERS = {
@@ -185,29 +179,28 @@ def _cell(value):
     return str(value)
 
 
-def emit_report(records, fmt: str = "csv", include_timing: bool = False) -> str:
-    """Render records as CSV (stable column order) or a JSON array.
+def emit_report(records, fmt: str = "csv") -> str:
+    """Render records as CSV or a JSON array, in the first record's key order.
 
-    Exact counts are emitted as decimal strings so nothing is rounded;
-    timing columns are dropped unless include_timing is set.
+    Exact counts are emitted as decimal strings so nothing is rounded.
     """
     if not records:
         raise ValidationError("no records to emit")
     if fmt not in ("csv", "json"):
         raise ValidationError(f"unknown format {fmt!r}")
-    columns = [k for k in records[0] if include_timing or k != "elapsed_s"]
+    columns = list(records[0])
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
         for rec in records:
-            writer.writerow([_cell(rec.get(col)) for col in columns])
+            writer.writerow([_cell(rec[col]) for col in columns])
         return buf.getvalue()
     rows = []
     for rec in records:
         row = {}
         for col in columns:
-            value = rec.get(col)
+            value = rec[col]
             if isinstance(value, float) or isinstance(value, bool) or value is None:
                 row[col] = value
             else:

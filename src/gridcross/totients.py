@@ -90,15 +90,14 @@ class TotientSums:
     s3: Fraction  # sum of phi(i)^2 / i^3, exact
 
 
-def partial_sums(n: int, table: TotientTable | None = None):
+def partial_sums(n: int):
     """Yield (i, phi(i), s1, s2, s3) for i = 1..n, where s1, s2 and s3 are the
     running sums of phi, phi^2 and phi^2 / i^3 (s3 an exact Fraction).
 
     Every row reduces s3, a Fraction whose denominator grows like
     lcm(1..i)^3; callers that need only the last row or the inequality
     report use `totient_sums` and `verify_totient_inequalities` instead."""
-    if table is None or table.n_max < n:
-        table = totient_sieve(n)
+    table = totient_sieve(n)
     s1 = s2 = 0
     s3 = Fraction(0)
     for i in range(1, n + 1):

@@ -1,13 +1,32 @@
+import csv
 import io
 import json
 from contextlib import redirect_stdout
 
 import pytest
 
+import gridcross.graph as graph
 from gridcross.cli import main
 from gridcross.errors import ValidationError
-from gridcross.experiments import ExperimentConfig, emit_report, run_experiment
+from gridcross.experiments import KINDS, ExperimentConfig, emit_report, run_experiment
 from gridcross.graph import parse_graph
+
+# one small sweep of every experiment kind, as configs and as CLI flags
+KIND_CONFIGS = {
+    "growth3d": ExperimentConfig(kind="growth3d", k_values=(2, 3)),
+    "growth_hd": ExperimentConfig(kind="growth_hd", k_values=(1, 2), dim=4),
+    "certificates": ExperimentConfig(kind="certificates", sides=((4, 4), (2, 2, 2)), edges=9,
+                                     seeds=(5, 6)),
+    "totients": ExperimentConfig(kind="totients", n_max=30),
+    "enumeration": ExperimentConfig(kind="enumeration", sides=((2, 2), (1, 3))),
+}
+KIND_FLAGS = {
+    "growth3d": ["--k-values", "2,3"],
+    "growth_hd": ["--k-values", "1,2", "--dim", "4"],
+    "certificates": ["--sides", "4x4,2x2x2", "--edges", "9", "--seeds", "5,6"],
+    "totients": ["--n-max", "30"],
+    "enumeration": ["--sides", "2x2,1x3"],
+}
 
 
 def run_cli(argv):
@@ -82,11 +101,32 @@ def test_gen_rejects_non_positive_sizes(capsys, argv):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
-def test_cross_rejects_improper_graph(tmp_path):
+def test_cross_rejects_improper_graph(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"dim":2,"vertices":[[1,1],[2,2],[3,3]],"edges":[[0,2]]}')
-    code, _ = run_cli(["cross", str(path)])
-    assert code == 2
+    for method in [[], ["--method", "naive"], ["--method", "all-certificates"]]:
+        assert main(["cross", str(path)] + method) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: graph is not proper: vertex 1 on edge (0, 2)\n"
+
+
+@pytest.mark.parametrize("method", ["naive", "pruned", "all-certificates"])
+def test_cross_checks_properness_once(tmp_path, monkeypatch, method):
+    path = tmp_path / "g.json"
+    run_cli(["gen", "--kind", "random", "--sides", "4x4", "--edges", "14",
+             "--seed", "3", "--out", str(path)])
+    calls = []
+    validate = graph.validate_proper
+
+    def counted(g):
+        calls.append(g)
+        return validate(g)
+
+    monkeypatch.setattr(graph, "validate_proper", counted)
+    code, _ = run_cli(["cross", str(path), "--method", method])
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_enum_counts_and_caps():
@@ -122,12 +162,56 @@ def test_enum_has_no_trees_flag(capsys):
     assert exc.value.code == 2
 
 
+def test_gen_has_no_reduce_flag(capsys):
+    # every generator emits primitive edges only; cross --reduce stays
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--kind", "bipartite", "--k", "2", "--reduce"])
+    assert exc.value.code == 2
+
+
 def test_nt_table_values():
     code, out = run_cli(["nt", "--n-max", "3"])
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "n,phi,s1,s2,s3,s3_float"
     assert lines[3].startswith("3,2,4,6,275/216,")
+
+
+@pytest.mark.parametrize("n_max", ["1", "2", "17", "80"])
+def test_nt_table_is_the_totients_experiment(n_max):
+    code1, out1 = run_cli(["nt", "--n-max", n_max])
+    code2, out2 = run_cli(["experiment", "--kind", "totients", "--n-max", n_max])
+    assert code1 == code2 == 0
+    assert out1 == out2
+
+
+@pytest.mark.parametrize("argv", [["nt"], ["experiment", "--kind", "totients"]])
+def test_totient_table_refuses_n_max_zero(capsys, argv):
+    assert main(argv + ["--n-max", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: n_max must be >= 1, got 0\n"
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_experiment_records_are_pure_values(kind):
+    config = KIND_CONFIGS[kind]
+    records = run_experiment(config)
+    assert records and all("elapsed_s" not in rec for rec in records)
+    assert records == run_experiment(config)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_timings_add_one_trailing_elapsed_column(kind):
+    argv = ["experiment", "--kind", kind] + KIND_FLAGS[kind]
+    _, plain = run_cli(argv)
+    code, timed = run_cli(argv + ["--timings"])
+    assert code == 0
+    plain_rows = list(csv.reader(io.StringIO(plain)))
+    timed_rows = list(csv.reader(io.StringIO(timed)))
+    assert timed_rows[0] == plain_rows[0] + ["elapsed_s"]
+    assert [row[:-1] for row in timed_rows[1:]] == plain_rows[1:]
+    assert all(float(row[-1]) >= 0 for row in timed_rows[1:])
 
 
 def test_experiment_growth3d_records():
@@ -201,13 +285,14 @@ def test_cross_reduce_preprocesses_non_primitive_edges(tmp_path):
 
 
 def test_emit_report_shapes():
-    records = run_experiment(ExperimentConfig(kind="enumeration", sides=((2, 2),)))
+    config = ExperimentConfig(kind="enumeration", sides=((2, 2),))
+    records = run_experiment(config)
     csv_text = emit_report(records, "csv")
     lines = csv_text.strip().splitlines()
     assert len(lines) == 2
     assert "elapsed_s" not in lines[0]
-    timed = emit_report(records, "json", include_timing=True)
-    assert "elapsed_s" in timed
+    timed = json.loads(emit_report(run_experiment(config, timings=True), "json"))
+    assert list(timed[0])[-1] == "elapsed_s"
     with pytest.raises(ValidationError):
         emit_report([], "csv")
     with pytest.raises(ValidationError):

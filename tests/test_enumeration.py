@@ -22,6 +22,7 @@ from gridcross.enumeration import (
     count_crossing_free_spanning_trees,
     count_crossing_free_subgraphs,
     count_independent_sets,
+    enumeration_record,
     grid_points,
     max_crossing_free_edges,
     ncs_lower_formula,
@@ -428,6 +429,12 @@ def test_enumeration_record_builds_one_conflict_graph(monkeypatch):
         1150976, 16, 621, 24965)
     assert len(built) == 1
     assert len(searched) == 2
+
+
+def test_enumeration_record_is_a_pure_value():
+    rec = enumeration_record((3, 3))
+    assert "elapsed_s" not in rec
+    assert rec == enumeration_record((3, 3))
 
 
 def test_memoized_counter_equals_subset_dp():
