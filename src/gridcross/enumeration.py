@@ -37,7 +37,7 @@ from math import comb, floor
 import numpy as np
 
 from ._kernels import crossing_pairs
-from .errors import CapExceeded, ValidationError
+from .errors import CapExceeded, ValidationError, is_integer
 from .geom import check_segment
 
 CANDIDATE_CAP = 141
@@ -69,7 +69,7 @@ def _grid_sides(sides):
     sides = tuple(sides)
     if not sides:
         raise ValidationError("a grid needs at least one side")
-    if not all(hasattr(s, "__index__") and not isinstance(s, bool) for s in sides):
+    if not all(is_integer(s) for s in sides):
         raise ValidationError(f"grid sides must be integers, got {sides!r}")
     sides = tuple(operator.index(s) for s in sides)
     if any(s < 1 for s in sides):

@@ -1,4 +1,5 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the integer-argument rule
+that ValidationError enforces.
 
 The CLI maps ValidationError to exit code 2 and CapExceeded to exit code 3.
 """
@@ -23,3 +24,9 @@ class ImproperGraphError(ValidationError):
         shown = ", ".join(f"vertex {x} on edge {e}" for e, x in self.violations[:5])
         more = "" if len(self.violations) <= 5 else f" (+{len(self.violations) - 5} more)"
         super().__init__(f"graph is not proper: {shown}{more}")
+
+
+def is_integer(value) -> bool:
+    """Whether `value` is an integer argument: it has __index__ and is not a
+    bool (a float, a string or True is not)."""
+    return hasattr(value, "__index__") and not isinstance(value, bool)

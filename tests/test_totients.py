@@ -1,5 +1,7 @@
 import math
 import random
+import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 
@@ -245,3 +247,78 @@ def test_verify_rejects_window_without_positive_log(window_start):
 def test_verify_rejects_non_finite_log_bound(log_c):
     with pytest.raises(ValidationError, match="log_c"):
         verify_totient_inequalities(50, log_c=log_c)
+
+
+@pytest.mark.parametrize("bad", [True, 2.5, 27.5, 30.0, "30", None])
+def test_totient_arguments_must_be_integers(bad):
+    for call in (lambda: totient_sieve(bad),
+                 lambda: totient_sums(bad),
+                 lambda: list(partial_sums(bad)),
+                 lambda: verify_totient_inequalities(bad),
+                 lambda: verify_totient_inequalities(30, window_start=bad)):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            call()
+
+
+def test_totient_arguments_accept_integer_types():
+    table = totient_sieve(np.int64(30))
+    assert type(table.n_max) is int and table.n_max == 30
+    assert totient_sums(np.int32(30)) == totient_sums(30)
+    rep = verify_totient_inequalities(np.int64(30), window_start=np.int16(27))
+    assert rep == verify_totient_inequalities(30)
+    assert type(rep.n_max) is int and type(rep.log_window_start) is int
+
+
+@pytest.mark.parametrize("point", [(0.5, 1), (Fraction(1, 2), 1.0), (True, 2), ("1", 2),
+                                   (Decimal("0.5"),)])
+def test_essential_level_refuses_inexact_coordinates(point):
+    with pytest.raises(ValidationError, match="coordinates"):
+        essential_level(point)
+
+
+def test_essential_level_accepts_integer_types():
+    assert essential_level((np.int64(3), Fraction(5, 4), 2)) == 4
+
+
+def test_table_refuses_indices_outside_its_range():
+    t = totient_sieve(10)
+    assert (t[0], t[1], t[10]) == (0, 1, 4)
+    for i in (-1, -11, 11):
+        with pytest.raises(IndexError):
+            t[i]
+
+
+def test_sieve_of_every_length_matches_sympy_totient():
+    # each length has its own sqrt(n_max) cut between the prime sieve and the
+    # large prime factors
+    sympy = pytest.importorskip("sympy")
+    want = [0] + [int(sympy.totient(k)) for k in range(1, 131)]
+    for n in range(1, 131):
+        assert totient_sieve(n).phi.tolist() == want[:n + 1], n
+
+
+@pytest.mark.parametrize("n_max", [27, 400])
+@pytest.mark.parametrize("log_c", [1e300, -1e300, 5e-324])
+def test_verify_threshold_envelope_matches_oracle(n_max, log_c):
+    c = log_c * math.log(n_max)
+    if abs(log_c) == 1e300:
+        assert math.isinf(c * 2.0 ** totients._S3_BITS)  # the scaled threshold overflows
+    else:
+        assert 0 < c < 2.0 ** -1022  # subnormal
+    rep = verify_totient_inequalities(n_max, log_c=log_c)
+    assert rep == _oracle_report(n_max, log_c=log_c)
+    assert rep.exact_fallbacks == 0
+
+
+@pytest.mark.parametrize("scan", [totient_sums, verify_totient_inequalities])
+def test_scan_memory_is_a_few_int64_arrays(scan):
+    # the sieve and the scans hold int64 arrays and O(1) Python ints per step;
+    # a list of n Python ints alone costs about 36 bytes per entry
+    n = 50_000
+    tracemalloc.start()
+    try:
+        scan(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * (n + 1)
