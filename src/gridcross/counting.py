@@ -12,7 +12,7 @@ Two counters with identical results on every input:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from . import _kernels
@@ -25,6 +25,10 @@ class CrossingReport:
     total: int
     per_edge: tuple  # crossings incident to each edge, aligned with g.edges
     method: str  # "naive" | "pruned"
+    # the kernel's array type, "int64" or "object" (Python ints past
+    # 2 * SAFE_COORD), None for naive; it says how the count was computed,
+    # not what it is, so == ignores it
+    dtype: str | None = field(default=None, compare=False, repr=False)
 
     @property
     def per_edge_max(self) -> int:
@@ -53,6 +57,6 @@ def count_crossings_pruned(g: GridGraph, check_proper: bool = True) -> CrossingR
     if check_proper:
         require_proper(g)
     pts = g.vertices
-    total, per_edge = _kernels.count_pairs([pts[i] for i, _ in g.edges],
-                                           [pts[j] for _, j in g.edges])
-    return CrossingReport(total, tuple(per_edge.tolist()), "pruned")
+    total, per_edge, dtype = _kernels.count_pairs([pts[i] for i, _ in g.edges],
+                                                  [pts[j] for _, j in g.edges])
+    return CrossingReport(total, tuple(per_edge.tolist()), "pruned", dtype)

@@ -31,6 +31,7 @@ three agree exactly.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -117,6 +118,7 @@ def edge_pgrid_points(seg, p: int):
     Q is the subsequence with gcd(i, p) = 1. Every member of Q has
     essential_level exactly p, and |Q| = phi(p) for p >= 2.
     """
+    p = _integer(p, "p")
     if p < 1:
         raise ValidationError(f"p must be >= 1, got {p}")
     direction, g = gcd_reduce(seg)
@@ -273,6 +275,8 @@ def verify_totient_inequalities(n_max: int, log_c: float = 0.05, window_start: i
         raise ValidationError(f"window_start must be >= 2 (ln 1 = 0), got {window_start}")
     if n_max < window_start:
         raise ValidationError(f"n_max must be >= {window_start}, got {n_max}")
+    if isinstance(log_c, bool) or not isinstance(log_c, numbers.Real):
+        raise ValidationError(f"log_c must be a real number, got {log_c!r}")
     if not math.isfinite(log_c * math.log(n_max)):
         # |log_c| * ln(k) rounds monotonically in k, so this covers the window
         raise ValidationError(f"log_c * ln(n_max) must be finite, got log_c = {log_c!r}")

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridcross.bounds import (
     certify,
@@ -13,6 +15,7 @@ from gridcross.bounds import (
 )
 from gridcross.constructions import layered_complete_bipartite, random_proper_graph
 from gridcross.counting import count_crossings_naive
+from gridcross.enumeration import candidate_blocks, grid_points
 from gridcross.errors import ImproperGraphError, ValidationError
 from gridcross.graph import make_grid_graph
 from gridcross.totients import totient_sieve
@@ -122,3 +125,29 @@ def test_essential_pgrid_monotone_in_p_max():
     g = random_proper_graph((5, 5), m=16, seed=7)
     values = [lower_bound_essential_pgrid(g, p, check_proper=False).value for p in range(1, 9)]
     assert all(a <= b for a, b in zip(values, values[1:]))
+
+
+@st.composite
+def _primitive_graphs(draw):
+    # 8 to 30 edges (all of them on smaller grids) drawn from the primitive
+    # candidates of a grid with sides at most 4 in 2-d, 3-d or 4-d
+    dim = draw(st.integers(2, 4))
+    sides = draw(st.lists(st.integers(1, 4), min_size=dim, max_size=dim).filter(
+        lambda s: max(s) >= 2))
+    candidates = sum(len(I) for I, _ in candidate_blocks(grid_points(sides)))
+    m = draw(st.integers(min(8, candidates), min(30, candidates)))
+    return random_proper_graph(sides, m, draw(st.integers(0, 2 ** 16)))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(g=_primitive_graphs())
+def test_essential_pgrid_at_full_level_is_the_exact_count(g):
+    # with coordinate spread L, a crossing of two primitive edges lies at
+    # parameters tn/det and sn/det, det a 2x2 minor of their directions,
+    # |det| <= 2 L^2; so its level divides det and every crossing lands in
+    # exactly one bucket at p_max = 2 L^2
+    L = max(max(col) - min(col) for col in zip(*g.vertices))
+    exact = count_crossings_naive(g).total
+    assert lower_bound_essential_pgrid(g, p_max=2 * L * L).value == exact
+    _, values = certify(g)
+    assert all(v is None or v <= exact for v in values.values())

@@ -9,7 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridcross import _kernels
-from gridcross.constructions import layered_complete_bipartite, random_proper_graph
+from gridcross.constructions import (
+    layered_complete_bipartite,
+    random_proper_graph,
+    tile_bipartite,
+)
 from gridcross.counting import count_crossings_naive, count_crossings_pruned
 from gridcross.errors import ImproperGraphError
 from gridcross.geom import CrossKind, segments_cross
@@ -113,6 +117,7 @@ def _endpoints(g):
 @pytest.mark.parametrize("build, total", [
     pytest.param(lambda: layered_complete_bipartite(6, 3), 27622, id="layered-k6-d3"),
     pytest.param(lambda: layered_complete_bipartite(3, 4), 4533, id="layered-k3-d4"),
+    pytest.param(lambda: tile_bipartite(4, 8, 3), 6960, id="tiled-k4-s8-d3"),
     pytest.param(lambda: layered_complete_bipartite(8, 3), 188024, id="layered-k8-d3"),
     pytest.param(lambda: layered_complete_bipartite(4, 4), 68856, id="layered-k4-d4"),
     pytest.param(lambda: layered_complete_bipartite(40, 2), 608400, id="layered-k40-d2"),
@@ -123,14 +128,42 @@ def test_kernel_working_set_does_not_grow_with_m(build, total):
     and 4-d, with 4533 to a million crossing pairs: the kernel holds one
     tile and one chunk at a time (see the _kernels docstring)."""
     A, B = _endpoints(build())
+    (got, per_edge, dtype), peak = _traced_peak(_kernels.count_pairs, A, B)
+    assert got == total and per_edge.sum() == 2 * total and dtype == "int64"
+    assert peak < 3 * 2 ** 20
+
+
+def _traced_peak(f, *args):
     tracemalloc.start()
     try:
-        got, per_edge = _kernels.count_pairs(A, B)
+        result = f(*args)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert got == total and per_edge.sum() == 2 * total
-    assert peak < 6 * 2 ** 20
+    return result, peak
+
+
+def _coplanar_fan(dim, n=2500, seed=0):
+    # n segments from (0..9, 40..59, 0, ...) to (990..999, 40..59, 0, ...):
+    # one plane, and nearly every pair passes the bounding-box filter
+    rng = random.Random(seed)
+    pad = (0,) * (dim - 2)
+    A = [(rng.randrange(10), 40 + rng.randrange(20)) + pad for _ in range(n)]
+    B = [(990 + rng.randrange(10), 40 + rng.randrange(20)) + pad for _ in range(n)]
+    return A, B
+
+
+def test_kernel_working_set_at_its_worst_case():
+    """Every pair of a tile passing both filters is the kernel's worst case
+    (see the _kernels docstring); the fan is the same drawing in 2-d, 3-d
+    and 4-d, so all three count the same pairs on the same edges."""
+    per_edges = []
+    for dim in (2, 3, 4):
+        (total, per_edge, _), peak = _traced_peak(_kernels.count_pairs, *_coplanar_fan(dim))
+        assert total == 1529062 and per_edge.sum() == 2 * total
+        assert peak < 4 * 2 ** 20
+        per_edges.append(per_edge.tolist())
+    assert per_edges[0] == per_edges[1] == per_edges[2]
 
 
 def test_pruned_matches_naive_across_tile_and_chunk_seams(monkeypatch):
@@ -163,7 +196,7 @@ def test_pruned_empty_and_single_edge():
     assert count_crossings_pruned(g).total == 0
     g = make_grid_graph(2, [(1, 1), (2, 2)], [(0, 1)])
     rep = count_crossings_pruned(g)
-    assert rep.total == 0 and rep.per_edge == (0,)
+    assert rep.total == 0 and rep.per_edge == (0,) and rep.dtype is None
 
 
 def test_pruned_huge_coordinates_fall_back_to_exact_path():
@@ -172,8 +205,8 @@ def test_pruned_huge_coordinates_fall_back_to_exact_path():
                         [(0, 1), (2, 3)])
     rep = count_crossings_pruned(g)
     assert rep.total == 1
-    total, per_edge = _kernels.count_pairs(*_endpoints(g))
-    assert total == 1 and per_edge.tolist() == [1, 1]
+    total, per_edge, dtype = _kernels.count_pairs(*_endpoints(g))
+    assert total == 1 and per_edge.tolist() == [1, 1] and dtype == rep.dtype == "object"
 
 
 def _kernel_agrees_with_geom(pairs, offset=0, dtype=np.int64):
@@ -286,6 +319,7 @@ def test_pruned_path_switches_exactly_past_safe_coord(monkeypatch):
         dtypes.clear()
         rep = count_crossings_pruned(g)
         assert dtypes and set(dtypes) == {np.dtype(dtype)}
+        assert rep.dtype == np.dtype(dtype).name and ref.dtype is None
         assert (rep.total, rep.per_edge) == (ref.total, ref.per_edge)
 
 

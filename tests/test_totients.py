@@ -255,9 +255,22 @@ def test_totient_arguments_must_be_integers(bad):
                  lambda: totient_sums(bad),
                  lambda: list(partial_sums(bad)),
                  lambda: verify_totient_inequalities(bad),
-                 lambda: verify_totient_inequalities(30, window_start=bad)):
+                 lambda: verify_totient_inequalities(30, window_start=bad),
+                 lambda: edge_pgrid_points(((0, 0), (1, 2)), bad)):
         with pytest.raises(ValidationError, match="must be an integer"):
             call()
+
+
+@pytest.mark.parametrize("log_c", [True, False, "0.05", None, Decimal("0.05"), 1j])
+def test_verify_refuses_log_c_that_is_not_a_real_number(log_c):
+    with pytest.raises(ValidationError, match="log_c must be a real number"):
+        verify_totient_inequalities(30, log_c=log_c)
+
+
+def test_verify_accepts_real_log_c_types():
+    rep = verify_totient_inequalities(30, log_c=0.5)
+    assert verify_totient_inequalities(30, log_c=np.float64(0.5)) == rep
+    assert verify_totient_inequalities(30, log_c=Fraction(1, 2)) == rep
 
 
 def test_totient_arguments_accept_integer_types():
