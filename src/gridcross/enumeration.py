@@ -8,13 +8,15 @@ same pair kernel that counts crossings (_kernels.crossing_pairs). Counts are
 edge-subset counts: a graph is identified with its edge set over the full
 grid, so isolated vertices never multiply anything.
 
-Subgraph and matching counts and the maximum (MIS) share one memoised search,
-which returns the number of independent sets and the largest size together:
-split the vertex set into connected components and branch each on a clique,
-which an independent set meets at most once. Matchings branch on the
-candidates at the lowest point still covered, the rest on one max-degree
-node; enumeration_record takes a grid's subgraph count and MIS from one such
-pass. Spanning trees are counted by a frontier DP over the candidate edges,
+The subgraph count and the maximum (MIS) share one memoised search, which
+returns the number of independent sets and the largest size together: split
+the vertex set into connected components and branch each on a clique (one
+max-degree node), which an independent set meets at most once;
+enumeration_record takes a grid's subgraph count and MIS from one such pass.
+Matchings have their own search, which needs no component split: it walks
+the points in lexicographic order and branches on the candidates at the
+first point with one left, which a matching meets at most once.
+Spanning trees are counted by a frontier DP over the candidate edges,
 with state (component partition of the points still live, later edges still
 usable); a point leaves the state once its last candidate is processed, and
 a tree is counted once, on the one include/exclude path that takes exactly
@@ -22,8 +24,9 @@ its edges.
 
 Everything here is deliberately capped: 141 candidates (the 2x11 grid) for
 the conflict graph, volume 9 for spanning trees. Up to the candidate cap the
-slowest count is 2x3x3 matchings, 1.5 s on a 2-core Xeon with Python 3.11.
-Caps raise CapExceeded instead of truncating.
+slowest counts are the 4x5 subgraph count with its MIS and the 2x3x3
+matchings, about 0.35 s each on a 2-core Xeon with Python 3.11. Caps raise
+CapExceeded instead of truncating.
 """
 
 from __future__ import annotations
@@ -65,7 +68,9 @@ def grid_points(sides):
 
 def _grid_sides(sides):
     """`sides` as a non-empty tuple of positive ints; a bool, float or string
-    side is refused."""
+    side is refused, and so is a string or a value that is not a sequence."""
+    if isinstance(sides, str) or not hasattr(sides, "__iter__"):
+        raise ValidationError(f"grid sides must be integers, got {sides!r}")
     sides = tuple(sides)
     if not sides:
         raise ValidationError("a grid needs at least one side")
@@ -245,34 +250,69 @@ def count_independent_sets(adjacency) -> int:
     return _independent_sets(adjacency)[0]
 
 
-def count_crossing_free_subgraphs(cg: ConflictGraph) -> int:
-    """Independent sets of the conflict graph, the empty set included."""
-    return count_independent_sets(cg.adjacency)
+def count_crossing_free_subgraphs(grid) -> int:
+    """Independent sets of the conflict graph, the empty set included.
+
+    `grid` is either grid sides or a prebuilt ConflictGraph."""
+    return count_independent_sets(_conflict_graph_of(grid).adjacency)
 
 
-def count_crossing_free_matchings(cg: ConflictGraph) -> int:
+def count_crossing_free_matchings(grid) -> int:
     """Crossing-free edge subsets that are also vertex-disjoint.
 
-    Independent sets of the conflict graph plus the point-sharing relation.
-    The candidates at one point form a clique there, so the search branches
-    on those at the lexicographically lowest point still covered.
+    Independent sets of the conflict graph plus the point-sharing relation,
+    counted by _matchings over the points in lexicographic order. `grid` is
+    either grid sides or a prebuilt ConflictGraph.
     """
+    cg = _conflict_graph_of(grid)
     incidence = dict.fromkeys(sorted({p for seg in cg.candidates for p in seg}), 0)
     for e, (a, b) in enumerate(cg.candidates):
         incidence[a] |= 1 << e
         incidence[b] |= 1 << e
-    nbr = [(c | incidence[a] | incidence[b]) ^ (1 << e)
-           for e, (c, (a, b)) in enumerate(zip(_neighbor_masks(cg.adjacency), cg.candidates))]
-    points = list(incidence.values())
-    return _independent(nbr, lambda comp: next(m & comp for m in points if m & comp))[0]
+    nbr = [c | incidence[a] | incidence[b]
+           for c, (a, b) in zip(_neighbor_masks(cg.adjacency), cg.candidates)]
+    return _matchings(nbr, list(incidence.values()))
+
+
+def _matchings(nbr, points):
+    """Independent sets of the graph with neighbour masks `nbr` (each mask
+    holding its own bit), where points[i] masks the candidates at point i.
+
+    f(S) scans to the first point i with a candidate left in S; a matching
+    takes at most one of its candidates K = points[i] & S, so f(S) = f(S-K)
+    + sum_{e in K} f(S-N[e]). Every point before i has no candidate left in
+    S or in any subset of it, so the scan resumes at i + 1, f depends on S
+    alone, and the recursion is at most one level deeper per point."""
+    memo = {0: 1}
+
+    def f(mask, i):
+        got = memo.get(mask)
+        if got is not None:
+            return got
+        while not points[i] & mask:
+            i += 1
+        k = points[i] & mask
+        n = f(mask & ~k, i + 1)
+        while k:
+            low = k & -k
+            k ^= low
+            n += f(mask & ~nbr[low.bit_length() - 1], i + 1)
+        memo[mask] = n
+        return n
+
+    return f((1 << len(nbr)) - 1, 0)
 
 
 def max_crossing_free_edges(grid) -> int:
     """Maximum number of pairwise non-crossing candidate edges (exact MIS).
 
     `grid` is either grid sides or a prebuilt ConflictGraph."""
-    cg = grid if isinstance(grid, ConflictGraph) else build_conflict_graph(grid)
-    return _independent_sets(cg.adjacency)[1]
+    return _independent_sets(_conflict_graph_of(grid).adjacency)[1]
+
+
+def _conflict_graph_of(grid) -> ConflictGraph:
+    """A ConflictGraph as it is; grid sides through build_conflict_graph."""
+    return grid if isinstance(grid, ConflictGraph) else build_conflict_graph(grid)
 
 
 def bose_formula(sides) -> int:

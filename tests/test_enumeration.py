@@ -28,7 +28,7 @@ from gridcross.enumeration import (
     ncs_lower_formula,
     ncs_upper_formula,
 )
-from gridcross.enumeration import _independent
+from gridcross.enumeration import _independent, _matchings
 from gridcross.errors import CapExceeded, ValidationError
 from gridcross.geom import CrossKind, gcd_reduce, segments_cross
 
@@ -155,11 +155,17 @@ def test_cap_refusal_stops_after_the_first_block():
     assert peak < 16 * 2 ** 20
 
 
-@pytest.mark.parametrize("sides", [(2.7, 2), (True, 2), ("3", 2), (2, None), (2, 2.0)])
+GRID_COUNTS = (count_crossing_free_subgraphs, count_crossing_free_matchings,
+               max_crossing_free_edges)
+
+
+@pytest.mark.parametrize("sides", [(2.7, 2), (True, 2), ("3", 2), (2, None), (2, 2.0),
+                                   "2x2", 2, None])
 def test_non_integer_sides_are_refused(sides):
-    """A side is never rounded or converted: floats, bools and strings raise."""
+    """A side is never rounded or converted: floats, bools and strings raise,
+    and so do sides that are a string or not a sequence."""
     for build in (build_conflict_graph, lambda s: random_proper_graph(s, 1, seed=0),
-                  bose_formula, max_crossing_free_edges):
+                  bose_formula, *GRID_COUNTS):
         with pytest.raises(ValidationError, match="must be integers"):
             build(sides)
     assert grid_points((np.int64(2), 1)) == [(1, 1), (2, 1)]
@@ -167,7 +173,7 @@ def test_non_integer_sides_are_refused(sides):
 
 def test_empty_grid_is_refused():
     """A grid needs a side: the point set and the Bose formula refuse () alike."""
-    for build in (grid_points, bose_formula, build_conflict_graph, max_crossing_free_edges,
+    for build in (grid_points, bose_formula, build_conflict_graph, *GRID_COUNTS,
                   lambda s: random_proper_graph(s, 0, seed=0)):
         with pytest.raises(ValidationError, match="at least one side"):
             build(())
@@ -250,21 +256,31 @@ def test_count_subgraphs_trivial_cases():
     assert count_crossing_free_subgraphs(five) == 32
 
 
+def test_counts_take_sides_or_a_conflict_graph():
+    """Grid sides and the grid's prebuilt conflict graph give the same counts."""
+    for sides, expected in {(2, 2): (48, 9, 5), (1, 3): (4, 3, 2),
+                            (2, 2, 2): (14929920, 660, 19)}.items():
+        assert tuple(count(sides) for count in GRID_COUNTS) == expected
+        assert tuple(count(build_conflict_graph(sides)) for count in GRID_COUNTS) == expected
+
+
 def test_count_matchings_examples():
     assert count_crossing_free_matchings(build_conflict_graph((2, 2))) == 9
     assert count_crossing_free_matchings(build_conflict_graph((1, 2))) == 2
     assert count_crossing_free_matchings(build_conflict_graph((1, 3))) == 3
 
 
-def brute_force_matchings(sides):
-    """Lists the matchings by backtracking over the candidate segments (point
-    pairs with coprime coordinate differences) without the conflict graph: a
-    segment joins when it shares no point with the matching and
-    segments_cross finds no crossing with any segment in it."""
-    pts = grid_points(sides)
-    segs = [(a, b) for a, b in combinations(pts, 2)
+def grid_segments(sides):
+    """The candidate segments of a grid (point pairs with coprime coordinate
+    differences), found without candidate_blocks."""
+    return [(a, b) for a, b in combinations(grid_points(sides), 2)
             if gcd(*(q - p for p, q in zip(a, b))) == 1]
 
+
+def brute_force_matchings(segs):
+    """Lists the matchings of a segment list by backtracking, without the
+    conflict graph: a segment joins when it shares no endpoint with the
+    matching and segments_cross finds no crossing with any segment in it."""
     def extend(start, chosen, used):
         total = 1
         for e in range(start, len(segs)):
@@ -286,7 +302,19 @@ MATCHING_ORACLE_GRIDS = [(n,) for n in range(1, 13)] + [
 @pytest.mark.parametrize("sides", MATCHING_ORACLE_GRIDS,
                          ids=["x".join(map(str, s)) for s in MATCHING_ORACLE_GRIDS])
 def test_matchings_against_backtracking(sides):
-    assert count_crossing_free_matchings(build_conflict_graph(sides)) == brute_force_matchings(sides)
+    assert count_crossing_free_matchings(build_conflict_graph(sides)) == brute_force_matchings(
+        grid_segments(sides))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 3).flatmap(lambda d: st.lists(
+    st.tuples(*[st.tuples(*[st.integers(0, 3)] * d)] * 2).filter(lambda s: s[0] != s[1]),
+    max_size=14, unique_by=lambda seg: tuple(sorted(seg)))))
+def test_matchings_of_segment_sets_against_backtracking(segs):
+    """Arbitrary segments of a small box in 1 to 3 dimensions: often sparse
+    and disconnected, and free to pass through lattice points and overlap."""
+    assert count_crossing_free_matchings(conflict_graph_from_segments(segs)) == (
+        brute_force_matchings(segs))
 
 
 def test_matchings_of_paths_are_fibonacci():
@@ -298,14 +326,21 @@ def test_matchings_of_paths_are_fibonacci():
 
 
 MATCHINGS_PINNED = {(4, 3): 10211, (2, 2, 3): 69417, (4, 5): 29929779, (2, 3, 3): 186897264,
-                    (2, 2, 2, 2): 34527171, (2, 2, 4): 9657449}
+                    (2, 2, 2, 2): 34527171, (2, 2, 4): 9657449, (2, 11): 31354188}
 
 
 @pytest.mark.parametrize("sides, expected", MATCHINGS_PINNED.items(),
                          ids=["x".join(map(str, s)) for s in MATCHINGS_PINNED])
 def test_matchings_pinned(sides, expected):
-    """Values of the earlier one-node-at-a-time search."""
+    """Values of the earlier one-node-at-a-time search; 2x11 is the grid at
+    the candidate cap."""
     assert count_crossing_free_matchings(build_conflict_graph(sides)) == expected
+
+
+def test_matchings_one_past_the_cap():
+    """2x2x5 has 166 candidates, past the cap, so it is built with a cap of
+    its own; the value of the earlier component-splitting search."""
+    assert count_crossing_free_matchings(build_conflict_graph((2, 2, 5), cap=166)) == 1598032326
 
 
 def test_spanning_trees_examples():
@@ -408,11 +443,11 @@ def test_spanning_trees_cap(monkeypatch):
 
 
 def test_enumeration_record_builds_one_conflict_graph(monkeypatch):
-    """One conflict graph per grid, and two searches: one for the subgraph
-    count and the maximum together, one for the matchings."""
+    """One conflict graph per grid, one independent-set search for the
+    subgraph count and the maximum together, and one matching search."""
     import gridcross.enumeration as enumeration
 
-    built, searched = [], []
+    built, searched, matched = [], [], []
 
     def counted_graph(*args, **kwargs):
         built.append(args)
@@ -422,13 +457,19 @@ def test_enumeration_record_builds_one_conflict_graph(monkeypatch):
         searched.append(args)
         return _independent(*args)
 
+    def counted_matchings(*args):
+        matched.append(args)
+        return _matchings(*args)
+
     monkeypatch.setattr(enumeration, "build_conflict_graph", counted_graph)
     monkeypatch.setattr(enumeration, "_independent", counted_search)
+    monkeypatch.setattr(enumeration, "_matchings", counted_matchings)
     rec = enumeration.enumeration_record((3, 3))
     assert (rec["subgraphs"], rec["max_edges"], rec["matchings"], rec["spanning_trees"]) == (
         1150976, 16, 621, 24965)
     assert len(built) == 1
-    assert len(searched) == 2
+    assert len(searched) == 1
+    assert len(matched) == 1
 
 
 def test_enumeration_record_is_a_pure_value():
