@@ -4,15 +4,16 @@ Candidate edges of a grid are the point pairs whose open segment avoids every
 grid point (on a full grid: coprime coordinate differences). Two candidates
 conflict when their open segments share a point, so crossing-free edge
 subsets are exactly the independent sets of the conflict graph, built by the
-same pair kernel that counts crossings (_kernels.crossing_pairs). Counts are
-edge-subset counts: a graph is identified with its edge set over the full
-grid, so isolated vertices never multiply anything.
+same pair kernel that counts crossings (_kernels.crossing_pairs) as one int
+bitmask of conflicts per candidate. Counts are edge-subset counts: a graph
+is identified with its edge set over the full grid, so isolated vertices
+never multiply anything.
 
 The subgraph count and the maximum (MIS) share one memoised search, which
 returns the number of independent sets and the largest size together: split
-the vertex set into connected components and branch each on a clique (one
-max-degree node), which an independent set meets at most once;
-enumeration_record takes a grid's subgraph count and MIS from one such pass.
+the vertex set into connected components and branch each on its
+lowest-indexed max-degree vertex; enumeration_record takes a grid's
+subgraph count and MIS from one such pass.
 Matchings have their own search, which needs no component split: it walks
 the points in lexicographic order and branches on the candidates at the
 first point with one left, which a matching meets at most once.
@@ -51,7 +52,7 @@ _BLOCK_DIFFERENCES = 1 << 20  # coordinate differences per candidate_blocks bloc
 @dataclass(frozen=True, eq=False)
 class ConflictGraph:
     candidates: tuple  # segments, each a pair of point tuples
-    adjacency: tuple  # adjacency[i] = frozenset of conflicting candidate indices
+    conflicts: tuple  # conflicts[i] = int mask of the candidates crossing candidate i
 
     @property
     def size(self) -> int:
@@ -59,7 +60,7 @@ class ConflictGraph:
 
     @property
     def conflict_count(self) -> int:
-        return sum(len(a) for a in self.adjacency) // 2
+        return sum(c.bit_count() for c in self.conflicts) // 2
 
 
 def grid_points(sides):
@@ -112,8 +113,11 @@ def _coprime_pairs(P, start, stop):
 def build_conflict_graph(sides, cap: int = CANDIDATE_CAP) -> ConflictGraph:
     """Candidate edges of the full grid and their pairwise crossing relation.
 
-    Raises ValidationError for a negative `cap` and CapExceeded when the grid
-    has more than `cap` candidate edges, as soon as a block passes it."""
+    Raises ValidationError unless `cap` is an integer >= 0 (a bool, float or
+    string is refused) and CapExceeded when the grid has more than `cap`
+    candidate edges, as soon as a block passes it."""
+    if not is_integer(cap):
+        raise ValidationError(f"cap must be an integer, got {cap!r}")
     if cap < 0:
         raise ValidationError(f"cap must be >= 0, got {cap}")
     pts = grid_points(sides)
@@ -129,45 +133,45 @@ def build_conflict_graph(sides, cap: int = CANDIDATE_CAP) -> ConflictGraph:
 def conflict_graph_from_segments(segments) -> ConflictGraph:
     """Conflict graph over an explicit candidate list (deduplicated).
 
-    Every segment needs two distinct endpoints with integer coordinates,
-    and all of them one dimension."""
-    seen = set()
-    cands = []
+    Every segment needs two distinct endpoints with integer coordinates (a
+    bool is not one), and all of them one dimension."""
+    cands = {}  # a dict keeps the first occurrence of each segment, in order
     dims = set()
     for seg in segments:
         check_segment(seg)
         a, b = (_lattice_point(p) for p in seg)
         dims.add(len(a))
-        key = (a, b) if a <= b else (b, a)
-        if key in seen:
-            continue
-        seen.add(key)
-        cands.append(key)
+        cands[(a, b) if a <= b else (b, a)] = None
     if len(dims) > 1:
         raise ValidationError(f"segments of different dimensions: {sorted(dims)}")
     if len(cands) > CANDIDATE_CAP:
         raise CapExceeded(f"{len(cands)} candidates exceed the cap {CANDIDATE_CAP}")
-    return _conflict_graph(cands)
+    return _conflict_graph(list(cands))
 
 
 def _lattice_point(p):
-    try:
-        return tuple(operator.index(x) for x in p)
-    except TypeError:
-        raise ValidationError(f"non-integer coordinate in {tuple(p)!r}") from None
+    p = tuple(p)
+    if not all(is_integer(x) for x in p):
+        raise ValidationError(f"non-integer coordinate in {p!r}")
+    return tuple(operator.index(x) for x in p)
 
 
 def _conflict_graph(cands):
-    adjacency = [set() for _ in cands]
+    conflicts = [0] * len(cands)
     for si, sj in crossing_pairs([a for a, _ in cands], [b for _, b in cands]):
         for i, j in zip(si.tolist(), sj.tolist()):
-            adjacency[i].add(j)
-            adjacency[j].add(i)
-    return ConflictGraph(tuple(cands), tuple(frozenset(a) for a in adjacency))
+            conflicts[i] |= 1 << j
+            conflicts[j] |= 1 << i
+    return ConflictGraph(tuple(cands), tuple(conflicts))
 
 
-def _neighbor_masks(adjacency):
-    return [sum(1 << j for j in nbrs) for nbrs in adjacency]
+def _point_masks(candidates):
+    """{point: mask of the candidates ending there}, in lexicographic order."""
+    masks = {}
+    for e, seg in enumerate(candidates):
+        for p in seg:
+            masks[p] = masks.get(p, 0) | 1 << e
+    return dict(sorted(masks.items()))
 
 
 def _components(mask, nbr):
@@ -188,32 +192,16 @@ def _components(mask, nbr):
     return comps
 
 
-def _max_degree_node(nbr):
-    """Clique rule of the plain search: the lowest-indexed max-degree node."""
-    def clique(comp):
-        best, best_deg, m = 0, -1, comp
-        while m:
-            low = m & -m
-            m ^= low
-            deg = (nbr[low.bit_length() - 1] & comp).bit_count()
-            if deg > best_deg:
-                best, best_deg = low, deg
-        return best
-    return clique
-
-
-def _independent(nbr, clique):
+def _independent(nbr):
     """Independent sets of the graph with neighbour masks `nbr`: (their
     number, the size of the largest), from one memo on the vertex set S.
-    Each connected component branches on K = clique(component), which an
-    independent set meets at most once: f(S) = f(S-K) + sum_{v in K}
-    f(S-K-N(v)) for the number, and the same with max and 1 + f(...) for the
-    largest. Across components numbers multiply and sizes add."""
-    memo = {}
+    Each connected component branches on its lowest-indexed max-degree
+    vertex v: f(S) = f(S-v) + f(S-v-N(v)) for the number, and the larger of
+    f(S-v) and 1 + f(S-v-N(v)) for the largest. Across components numbers
+    multiply and sizes add."""
+    memo = {0: (1, 0)}
 
     def f(mask):
-        if mask == 0:
-            return 1, 0
         cached = memo.get(mask)
         if cached is not None:
             return cached
@@ -221,17 +209,17 @@ def _independent(nbr, clique):
         for comp in _components(mask, nbr):
             got = memo.get(comp)
             if got is None:
-                k = clique(comp)
-                rest = comp & ~k
+                v, best_deg, m = 0, -1, comp
+                while m:
+                    i = (m & -m).bit_length() - 1
+                    m &= m - 1
+                    deg = (nbr[i] & comp).bit_count()
+                    if deg > best_deg:
+                        v, best_deg = i, deg
+                rest = comp & ~(1 << v)
                 n, big = f(rest)
-                while k:
-                    low = k & -k
-                    k ^= low
-                    sub_n, sub_big = f(rest & ~nbr[low.bit_length() - 1])
-                    n += sub_n
-                    if sub_big >= big:
-                        big = sub_big + 1
-                got = memo[comp] = n, big
+                sub_n, sub_big = f(rest & ~nbr[v])
+                got = memo[comp] = n + sub_n, max(big, sub_big + 1)
             count *= got[0]
             largest += got[1]
         memo[mask] = count, largest
@@ -240,21 +228,16 @@ def _independent(nbr, clique):
     return f((1 << len(nbr)) - 1)
 
 
-def _independent_sets(adjacency):
-    """(number, largest size) of the independent sets, by the max-degree rule."""
-    nbr = _neighbor_masks(adjacency)
-    return _independent(nbr, _max_degree_node(nbr))
-
-
 def count_independent_sets(adjacency) -> int:
-    return _independent_sets(adjacency)[0]
+    """Independent sets of a graph given as neighbour index sets."""
+    return _independent([sum(1 << j for j in a) for a in adjacency])[0]
 
 
 def count_crossing_free_subgraphs(grid) -> int:
     """Independent sets of the conflict graph, the empty set included.
 
     `grid` is either grid sides or a prebuilt ConflictGraph."""
-    return count_independent_sets(_conflict_graph_of(grid).adjacency)
+    return _independent(_conflict_graph_of(grid).conflicts)[0]
 
 
 def count_crossing_free_matchings(grid) -> int:
@@ -265,13 +248,9 @@ def count_crossing_free_matchings(grid) -> int:
     either grid sides or a prebuilt ConflictGraph.
     """
     cg = _conflict_graph_of(grid)
-    incidence = dict.fromkeys(sorted({p for seg in cg.candidates for p in seg}), 0)
-    for e, (a, b) in enumerate(cg.candidates):
-        incidence[a] |= 1 << e
-        incidence[b] |= 1 << e
-    nbr = [c | incidence[a] | incidence[b]
-           for c, (a, b) in zip(_neighbor_masks(cg.adjacency), cg.candidates)]
-    return _matchings(nbr, list(incidence.values()))
+    at = _point_masks(cg.candidates)
+    nbr = [c | at[a] | at[b] for c, (a, b) in zip(cg.conflicts, cg.candidates)]
+    return _matchings(nbr, list(at.values()))
 
 
 def _matchings(nbr, points):
@@ -307,7 +286,7 @@ def max_crossing_free_edges(grid) -> int:
     """Maximum number of pairwise non-crossing candidate edges (exact MIS).
 
     `grid` is either grid sides or a prebuilt ConflictGraph."""
-    return _independent_sets(_conflict_graph_of(grid).adjacency)[1]
+    return _independent(_conflict_graph_of(grid).conflicts)[1]
 
 
 def _conflict_graph_of(grid) -> ConflictGraph:
@@ -360,7 +339,6 @@ def _spanning_trees(pts, cg: ConflictGraph) -> int:
     volume = len(pts)
     index = {p: i for i, p in enumerate(pts)}
     ends = [(index[a], index[b]) for a, b in cg.candidates]
-    conflicts = _neighbor_masks(cg.adjacency)
     t, full, usable = cg.size, (1 << volume) - 1, (1 << cg.size) - 1
     # Point p's component sits at bit t + volume*p of the key. For a point set
     # S, inc[S] masks the candidates touching S and adding X * rep[S] adds X to
@@ -368,8 +346,9 @@ def _spanning_trees(pts, cg: ConflictGraph) -> int:
     # candidate is e.
     inc, rep, start = [0] * (1 << volume), [0] * (1 << volume), usable
     retire = [[] for _ in ends]
-    for p in range(volume):
-        touching = sum(1 << e for e, ab in enumerate(ends) if p in ab)
+    at = _point_masks(cg.candidates)
+    for p, pt in enumerate(pts):
+        touching = at.get(pt, 0)
         for s in range(1 << p):
             inc[s | 1 << p] = inc[s] | touching
             rep[s | 1 << p] = rep[s] | 1 << (t + volume * p)
@@ -379,7 +358,7 @@ def _spanning_trees(pts, cg: ConflictGraph) -> int:
     states = [{} for _ in range(volume)] + [{start: 1}]  # states[c]: c components
     total = int(volume == 1)  # a single point is its own spanning tree
     for e, (a, b) in enumerate(ends):
-        bit, ban, nxt = 1 << e, conflicts[e], [{} for _ in range(volume + 1)]
+        bit, ban, nxt = 1 << e, cg.conflicts[e], [{} for _ in range(volume + 1)]
         for comps in range(2, volume + 1):
             keep, merged = nxt[comps], nxt[comps - 1]
             for key, ways in states[comps].items():
@@ -419,7 +398,7 @@ def enumeration_record(sides, cap: int = CANDIDATE_CAP) -> dict:
     pts = grid_points(sides)
     volume = len(pts)
     cg = build_conflict_graph(sides, cap=cap)
-    subgraphs, mis = _independent_sets(cg.adjacency)
+    subgraphs, mis = _independent(cg.conflicts)
     matchings = count_crossing_free_matchings(cg)
     bose = bose_formula(sides)
     upper = ncs_upper_formula(volume, len(sides)) if volume >= 2 else None

@@ -9,9 +9,10 @@ constrain properness).
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 
-from .errors import ImproperGraphError, ValidationError
+from .errors import ImproperGraphError, ValidationError, is_integer
 from .geom import gcd_reduce, point_on_open_segment
 
 
@@ -34,9 +35,12 @@ def make_grid_graph(dim, vertices, edges) -> GridGraph:
 
     Edges are normalized to (min, max) and sorted; duplicates, self-loops,
     bad indices, and duplicate vertices are rejected with their location.
+    The dimension and the edge endpoints must pass errors.is_integer and the
+    coordinates must be ints; a bool is refused in each place.
     """
-    if not isinstance(dim, int) or dim < 1:
+    if not is_integer(dim) or dim < 1:
         raise ValidationError(f"dimension must be a positive integer, got {dim!r}")
+    dim = operator.index(dim)
     vts = []
     seen = {}
     for idx, v in enumerate(vertices):
@@ -58,8 +62,10 @@ def make_grid_graph(dim, vertices, edges) -> GridGraph:
             i, j = e
         except (TypeError, ValueError):
             raise ValidationError(f"edge {pos} is not an index pair: {e!r}") from None
-        if not (isinstance(i, int) and isinstance(j, int)):
-            raise ValidationError(f"edge {pos} has non-integer endpoints: {e!r}")
+        if type(i) is not int or type(j) is not int:  # plain ints skip the slow check
+            if not (is_integer(i) and is_integer(j)):
+                raise ValidationError(f"edge {pos} has non-integer endpoints: {e!r}")
+            i, j = operator.index(i), operator.index(j)
         if i == j:
             raise ValidationError(f"edge {pos} is a self-loop on vertex {i}")
         if not (0 <= i < n and 0 <= j < n):

@@ -214,13 +214,13 @@ def test_criterion_7_enumeration_exactness():
             full = build_conflict_graph(sides)
             keep = sorted(rng.sample(range(full.size), min(20, full.size)))
             relabel = {v: i for i, v in enumerate(keep)}
-            cases.append([frozenset(relabel[w] for w in full.adjacency[v] if w in relabel)
+            cases.append([frozenset(relabel[w] for w in keep if full.conflicts[v] >> w & 1)
                           for v in keep])
         d224 = build_conflict_graph((2, 2, 2))
         for _ in range(4):
             keep = sorted(rng.sample(range(d224.size), 20))
             relabel = {v: i for i, v in enumerate(keep)}
-            cases.append([frozenset(relabel[w] for w in d224.adjacency[v] if w in relabel)
+            cases.append([frozenset(relabel[w] for w in keep if d224.conflicts[v] >> w & 1)
                           for v in keep])
         assert len(cases) == 50
         for adjacency in cases:
@@ -230,14 +230,13 @@ def test_criterion_7_enumeration_exactness():
 def _enumerate_crossing_free_matchings(cg):
     """All independent sets of the conflict graph augmented with endpoint sharing."""
     n = cg.size
-    adjacency = [set(a) for a in cg.adjacency]
+    nbr = list(cg.conflicts)
     for i in range(n):
         pi = set(cg.candidates[i])
         for j in range(i + 1, n):
             if pi & set(cg.candidates[j]):
-                adjacency[i].add(j)
-                adjacency[j].add(i)
-    nbr = [sum(1 << j for j in a) for a in adjacency]
+                nbr[i] |= 1 << j
+                nbr[j] |= 1 << i
     found = []
 
     def rec(start, blocked, chosen):

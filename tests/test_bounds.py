@@ -93,6 +93,18 @@ def test_certify_returns_every_certificate_by_kind():
         certify(make_grid_graph(2, [(0, 0), (2, 0), (1, 0)], [(0, 1)]))
 
 
+@pytest.mark.parametrize("p_max", [2.5, 2.0, True, "2"])
+def test_non_integer_p_max_is_refused(p_max):
+    """p_max is refused, not rounded or read as 1, by both entry points, and
+    by certify for a graph with a non-primitive edge too."""
+    g = layered_complete_bipartite(2, 3)
+    long = make_grid_graph(2, [(0, 0), (4, 6), (0, 6), (4, 0)], [(0, 1), (2, 3)])
+    for call in (lambda: certify(g, p_max), lambda: certify(long, p_max),
+                 lambda: lower_bound_essential_pgrid(g, p_max)):
+        with pytest.raises(ValidationError, match="p_max must be an integer"):
+            call()
+
+
 def test_default_p_max_follows_cube_root_and_clamps():
     assert default_p_max(16, 8) == 1
     assert default_p_max(27, 1) == 3

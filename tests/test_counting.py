@@ -369,3 +369,35 @@ def test_pruned_matches_naive_under_lattice_symmetries(data):
     for h in (g, moved(1, shift), moved(2 * C + 1, far)):
         rep = count_crossings_pruned(h)
         assert (rep.total, rep.per_edge) == (ref.total, ref.per_edge)
+
+
+def _unimodular_image(g, rng):
+    """g under a product of 4 random integer shears x_i += c * x_j (i != j)
+    and a translation: an affine bijection of the lattice, so it keeps every
+    crossing, every vertex on an edge and every edge index."""
+    dim = g.dim
+    pts = [list(v) for v in g.vertices]
+    for _ in range(4):
+        i, j = rng.sample(range(dim), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        for v in pts:
+            v[i] += c * v[j]
+    shift = [rng.randint(-50, 50) for _ in range(dim)]
+    return make_grid_graph(dim, [tuple(x + s for x, s in zip(v, shift)) for v in pts], g.edges)
+
+
+def test_crossings_invariant_under_unimodular_maps():
+    """Pruned total and per-edge counts of random graphs on 2-d to 4-d grids
+    are those of their sheared images, and the naive counter agrees there."""
+    rng = random.Random(97)
+    crossings = 0
+    for trial in range(40):
+        sides = ((4, 4), (3, 4), (3, 3, 2), (2, 3, 2), (2, 2, 2, 2))[trial % 5]
+        g = random_proper_graph(sides, rng.randint(8, 16), seed=trial)
+        ref = count_crossings_pruned(g)
+        h = _unimodular_image(g, rng)
+        assert max(abs(x) for v in h.vertices for x in v) > 4
+        for rep in (count_crossings_pruned(h), count_crossings_naive(h)):
+            assert (rep.total, rep.per_edge) == (ref.total, ref.per_edge), (sides, trial)
+        crossings += ref.total
+    assert crossings >= 100

@@ -141,6 +141,15 @@ def test_build_conflict_graph_cap():
             build_conflict_graph(sides, cap=-1)
 
 
+def test_build_conflict_graph_refuses_a_non_integer_cap():
+    """A bool is not a cap of 1 (or 0), and a float or string is not read;
+    a numpy integer is an integer."""
+    for cap in (True, False, 1.0, 141.5, "141", None):
+        with pytest.raises(ValidationError, match="cap must be an integer"):
+            build_conflict_graph((2, 2), cap=cap)
+    assert build_conflict_graph((2, 2), cap=np.int64(6)).size == 6
+
+
 def test_cap_refusal_stops_after_the_first_block():
     """60x60 has 6.5 million point pairs and 3.9 million candidates; one
     table of all their differences would take over 100 MB. The refusal comes
@@ -188,6 +197,13 @@ def test_conflict_graph_from_layered_bipartite_edges():
     assert cg.conflict_count == 10
 
 
+def conflict_sets(cg):
+    """The conflict graph's masks as index sets: conflict_sets(cg)[i] holds
+    the candidates that conflict with candidate i."""
+    return tuple(frozenset(j for j in range(cg.size) if mask >> j & 1)
+                 for mask in cg.conflicts)
+
+
 def segments_cross_adjacency(cands):
     """Conflict adjacency by segments_cross on every candidate pair."""
     adjacency = [set() for _ in cands]
@@ -205,7 +221,7 @@ CONFLICT_ORACLE_GRIDS = [(1, 5), (3, 3), (2, 2, 2), (2, 2, 3), (2, 3, 3), (2, 11
                          ids=["x".join(map(str, s)) for s in CONFLICT_ORACLE_GRIDS])
 def test_conflict_graph_matches_segments_cross(sides):
     cg = build_conflict_graph(sides)
-    assert cg.adjacency == segments_cross_adjacency(cg.candidates)
+    assert conflict_sets(cg) == segments_cross_adjacency(cg.candidates)
 
 
 def test_conflict_graph_from_segments_matches_segments_cross():
@@ -230,14 +246,15 @@ def test_conflict_graph_from_segments_matches_segments_cross():
         for scale in (1, 10 ** 20):
             cg = conflict_graph_from_segments(
                 [tuple(tuple(scale * x for x in p) for p in seg) for seg in segs])
-            assert cg.adjacency == segments_cross_adjacency(cg.candidates)
+            assert conflict_sets(cg) == segments_cross_adjacency(cg.candidates)
 
 
 @pytest.mark.parametrize("segments, message", [
     ([((0, 0), (1, 1)), ((2, 2), (2, 2))], "degenerate"),
     ([((0, 0), (1, 1)), ((0, 0, 0), (1, 1, 1))], "different dimensions"),
     ([((0, 0), (1, 1)), ((0, Fraction(1, 2)), (1, 0))], "non-integer"),
-], ids=["degenerate", "mixed-dimensions", "non-integer"])
+    ([((True, 0), (0, 1))], "non-integer"),
+], ids=["degenerate", "mixed-dimensions", "non-integer", "bool"])
 def test_conflict_graph_from_segments_rejects_bad_segments(segments, message):
     with pytest.raises(ValidationError, match=message):
         conflict_graph_from_segments(segments)
@@ -251,8 +268,7 @@ def test_count_subgraphs_2x2():
 def test_count_subgraphs_trivial_cases():
     empty = ConflictGraph((), ())
     assert count_crossing_free_subgraphs(empty) == 1
-    five = ConflictGraph(tuple(((i, 0), (i, 1)) for i in range(5)),
-                         tuple(frozenset() for _ in range(5)))
+    five = ConflictGraph(tuple(((i, 0), (i, 1)) for i in range(5)), (0,) * 5)
     assert count_crossing_free_subgraphs(five) == 32
 
 
@@ -368,9 +384,10 @@ def test_spanning_trees_against_subset_filter(sides, expected):
     cg = build_conflict_graph(sides)
     pts = grid_points(sides)
     index = {p: i for i, p in enumerate(pts)}
+    conflicts = conflict_sets(cg)
     trees = []
     for subset in combinations(range(cg.size), len(pts) - 1):
-        if any(j in cg.adjacency[i] for i, j in combinations(subset, 2)):
+        if any(j in conflicts[i] for i, j in combinations(subset, 2)):
             continue
         parent = list(range(len(pts)))
 
@@ -485,29 +502,26 @@ def test_memoized_counter_equals_subset_dp():
         assert count_independent_sets(adjacency) == brute_force_independent_sets(adjacency)[0]
 
 
-def test_clique_branching_with_random_cliques_matches_subset_dp():
-    """The search is exact for any rule that returns a non-empty clique inside
-    the component. Here K is drawn at random, on every call, from a fixed
-    list of cliques (every singleton and greedy maximal cliques) cut down to
-    the component."""
-    rng = random.Random(71)
-    for trial in range(40):
-        t = rng.randint(1, 14)
-        adjacency = random_adjacency(rng, t)
-        nbr = [sum(1 << j for j in a) for a in adjacency]
-        cliques = [1 << v for v in range(t)]
-        for _ in range(t):
-            k = 0
-            for v in rng.sample(range(t), t):
-                if (nbr[v] & k) == k:
-                    k |= 1 << v
-            cliques.append(k)
-
-        def clique(comp):
-            return rng.choice([k & comp for k in cliques if k & comp])
-
-        count, biggest = brute_force_independent_sets(adjacency)
-        assert _independent(nbr, clique) == (count, biggest)
+def test_independent_set_count_matches_networkx_cliques_of_complement():
+    """An independent set is a clique of the complement, and
+    enumerate_all_cliques lists every non-empty clique, so the count is one
+    more than that list: on random graphs of up to 16 vertices and on
+    16-vertex induced subgraphs of grid conflict graphs."""
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(89)
+    cases = [random_adjacency(rng, rng.randint(0, 16)) for _ in range(30)]
+    for sides in [(3, 3), (2, 2, 2), (4, 3), (2, 2, 3)]:
+        sets = conflict_sets(build_conflict_graph(sides))
+        keep = sorted(rng.sample(range(len(sets)), 16))
+        relabel = {v: i for i, v in enumerate(keep)}
+        cases.append([frozenset(relabel[w] for w in sets[v] if w in relabel) for v in keep])
+    assert sum(any(a) for a in cases[-4:]) == 4  # each induced graph keeps a conflict
+    for adjacency in cases:
+        g = nx.Graph()
+        g.add_nodes_from(range(len(adjacency)))
+        g.add_edges_from((i, j) for i, a in enumerate(adjacency) for j in a)
+        cliques = sum(1 for _ in nx.enumerate_all_cliques(nx.complement(g)))
+        assert count_independent_sets(adjacency) == 1 + cliques
 
 
 def test_mis_matches_networkx_clique_of_complement():
@@ -520,7 +534,8 @@ def test_mis_matches_networkx_clique_of_complement():
         g.add_nodes_from(range(t))
         g.add_edges_from((i, j) for i in range(t) for j in adjacency[i])
         _, weight = nx.max_weight_clique(nx.complement(g), weight=None)
-        cg = ConflictGraph(tuple(((v, 0), (v, 1)) for v in range(t)), tuple(adjacency))
+        cg = ConflictGraph(tuple(((v, 0), (v, 1)) for v in range(t)),
+                           tuple(sum(1 << j for j in a) for a in adjacency))
         assert max_crossing_free_edges(cg) == weight
 
 

@@ -2,6 +2,7 @@ import random
 from collections import Counter
 from itertools import product
 
+import numpy as np
 import pytest
 
 from gridcross.errors import ValidationError
@@ -83,6 +84,33 @@ def test_make_grid_graph_rejects_bad_input():
         make_grid_graph(2, [(1, 1), (2, 2)], [(0, 5)])
     with pytest.raises(ValidationError, match="coordinates"):
         make_grid_graph(3, [(1, 1)], [])
+
+
+@pytest.mark.parametrize("dim, vertices, edges, message", [
+    (True, [(1,), (3,)], [], "dimension"),
+    (2.0, [(1, 1)], [], "dimension"),
+    (1, [(1,), (3,)], [(False, True)], "non-integer endpoints"),
+    (1, [(1,), (3,)], [(0, 1.0)], "non-integer endpoints"),
+    (2, [(1, True)], [], "non-integer coordinate"),
+], ids=["bool-dim", "float-dim", "bool-endpoints", "float-endpoint", "bool-coordinate"])
+def test_make_grid_graph_refuses_non_integers(dim, vertices, edges, message):
+    """A bool is not an integer here: it is refused as a dimension, an edge
+    endpoint and a coordinate, as a float is."""
+    with pytest.raises(ValidationError, match=message):
+        make_grid_graph(dim, vertices, edges)
+
+
+def test_parse_refuses_bool_dimension_and_endpoints():
+    with pytest.raises(ValidationError, match="dimension"):
+        parse_graph('{"dim":true,"vertices":[[1],[3]],"edges":[[false,true]]}')
+    with pytest.raises(ValidationError, match="non-integer endpoints"):
+        parse_graph('{"dim":1,"vertices":[[1],[3]],"edges":[[false,true]]}')
+
+
+def test_make_grid_graph_takes_numpy_dimension_and_endpoints_as_ints():
+    g = make_grid_graph(np.int64(2), [(1, 2), (3, 4)], [(np.int64(1), np.int8(0))])
+    assert g == make_grid_graph(2, [(1, 2), (3, 4)], [(0, 1)])
+    assert all(type(x) is int for x in (g.dim, *g.edges[0]))
 
 
 def test_edges_canonicalized():
