@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .errors import ValidationError, is_integer
+from .errors import ValidationError, as_integer
 from .geom import gcd_reduce
 from .graph import GridGraph, compute_volume, require_proper
 from .totients import edge_pgrid_points
@@ -74,9 +74,7 @@ def _non_primitive(segs):
 def check_p_max(p_max: int) -> None:
     """Raise ValidationError unless the essential-pgrid level p_max is an
     integer >= 1 (a bool, float or string is refused)."""
-    if not is_integer(p_max):
-        raise ValidationError(f"p_max must be an integer, got {p_max!r}")
-    if p_max < 1:
+    if as_integer(p_max, "p_max") < 1:
         raise ValidationError(f"p_max must be >= 1, got {p_max}")
 
 

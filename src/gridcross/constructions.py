@@ -5,6 +5,9 @@ The central fixture is the two-layer drawing of a complete bipartite graph:
 all points of the k x ... x k x 2 box, with every bottom-layer point joined
 to every top-layer point. Edges differ by exactly 1 in the last coordinate,
 so they are primitive and the drawing is proper by construction.
+
+Every size, count and seed argument must pass errors.is_integer: a bool or a
+float is refused with ValidationError, and numpy integers are taken as ints.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from itertools import product
 
 from .counting import count_crossings_naive
 from .enumeration import candidate_blocks, grid_points
-from .errors import ValidationError
+from .errors import ValidationError, as_integer
 from .graph import GridGraph, make_grid_graph
 
 
@@ -30,6 +33,7 @@ def layered_complete_bipartite(k: int, d: int) -> GridGraph:
 
     2*k^(d-1) vertices and k^(2(d-1)) edges.
     """
+    k, d = as_integer(k, "k"), as_integer(d, "d")
     if k < 1 or d < 2:
         raise ValidationError(f"need k >= 1 and d >= 2, got k={k}, d={d}")
     verts = layer_grid_vertices(k, d)
@@ -45,6 +49,7 @@ def tile_bipartite(k: int, side: int, d: int) -> GridGraph:
     each carries its own complete bipartite drawing and no edges leave a
     block, so crossings are the per-block count times the number of blocks.
     """
+    k, side, d = as_integer(k, "k"), as_integer(side, "side"), as_integer(d, "d")
     if d < 3:
         raise ValidationError(f"tiling needs d >= 3, got {d}")
     if k < 1 or side < 1:
@@ -73,6 +78,7 @@ def analytic_skip_bound(k: int, d: int) -> Fraction:
     planes in dimension 3 and (d-1)(2r+1)^(d-2) in dimension d >= 4. The
     exact finite sum of those products is returned.
     """
+    k, d = as_integer(k, "k"), as_integer(d, "d")
     if k < 1 or d < 3:
         raise ValidationError(f"need k >= 1 and d >= 3, got k={k}, d={d}")
     total = Fraction(0)
@@ -96,6 +102,7 @@ def random_proper_graph(sides, m: int, seed: int) -> GridGraph:
     up, so memory holds at most one block besides the one being made, never
     the whole table; a grid of one block is made once.
     """
+    m, seed = as_integer(m, "m"), as_integer(seed, "seed")
     if m < 0:
         raise ValidationError(f"need m >= 0 edges, got {m}")
     verts = grid_points(sides)
@@ -136,6 +143,7 @@ def augment_matching_to_spanning_tree(matching: GridGraph, k: int, d: int) -> Gr
     The result spans the k x ... x k x 2 box, contains the matching, and is
     crossing-free.
     """
+    k, d = as_integer(k, "k"), as_integer(d, "d")
     expected = layer_grid_vertices(k, d)
     if set(matching.vertices) != set(expected) or matching.dim != d:
         raise ValidationError("matching must live on the full two-layer box")
@@ -188,6 +196,7 @@ def stack_layer_graphs(per_pair, k: int, d: int) -> GridGraph:
     in a shared hyperplane of vertices, which open segments avoid, so the
     union of crossing-free inputs is crossing-free.
     """
+    k, d = as_integer(k, "k"), as_integer(d, "d")
     if k < 1 or d < 2:
         raise ValidationError(f"need k >= 1 and d >= 2, got k={k}, d={d}")
     verts = grid_points((k,) * d)

@@ -10,10 +10,11 @@ is identified with its edge set over the full grid, so isolated vertices
 never multiply anything.
 
 The subgraph count and the maximum (MIS) share one memoised search, which
-returns the number of independent sets and the largest size together: split
-the vertex set into connected components and branch each on its
-lowest-indexed max-degree vertex; enumeration_record takes a grid's
-subgraph count and MIS from one such pass.
+returns the number of independent sets and the largest size together. One
+vertex order is fixed before it starts, falling degree in the whole conflict
+graph and then index; the search splits the vertex set into connected
+components and branches each on its first vertex in that order.
+enumeration_record takes a grid's subgraph count and MIS from one such pass.
 Matchings have their own search, which needs no component split: it walks
 the points in lexicographic order and branches on the candidates at the
 first point with one left, which a matching meets at most once.
@@ -24,10 +25,9 @@ a tree is counted once, on the one include/exclude path that takes exactly
 its edges.
 
 Everything here is deliberately capped: 141 candidates (the 2x11 grid) for
-the conflict graph, volume 9 for spanning trees. Up to the candidate cap the
-slowest counts are the 4x5 subgraph count with its MIS and the 2x3x3
-matchings, about 0.35 s each on a 2-core Xeon with Python 3.11. Caps raise
-CapExceeded instead of truncating.
+the conflict graph, volume 9 for spanning trees. Up to the candidate cap no
+count takes more than about 0.3 s (the 2x3x3 matchings) on a 2-core Xeon
+with Python 3.11. Caps raise CapExceeded instead of truncating.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from math import comb, floor
 import numpy as np
 
 from ._kernels import crossing_pairs
-from .errors import CapExceeded, ValidationError, is_integer
+from .errors import CapExceeded, ValidationError, as_integer, is_integer
 from .geom import check_segment
 
 CANDIDATE_CAP = 141
@@ -116,9 +116,7 @@ def build_conflict_graph(sides, cap: int = CANDIDATE_CAP) -> ConflictGraph:
     Raises ValidationError unless `cap` is an integer >= 0 (a bool, float or
     string is refused) and CapExceeded when the grid has more than `cap`
     candidate edges, as soon as a block passes it."""
-    if not is_integer(cap):
-        raise ValidationError(f"cap must be an integer, got {cap!r}")
-    if cap < 0:
+    if as_integer(cap, "cap") < 0:
         raise ValidationError(f"cap must be >= 0, got {cap}")
     pts = grid_points(sides)
     cands = []
@@ -174,13 +172,10 @@ def _point_masks(candidates):
     return dict(sorted(masks.items()))
 
 
-def _components(mask, nbr):
+def _components(rest, nbr):
     comps = []
-    rest = mask
     while rest:
-        seed = rest & -rest
-        comp = seed
-        frontier = seed
+        comp = frontier = rest & -rest
         while frontier:
             v = frontier & -frontier
             frontier &= frontier - 1
@@ -195,10 +190,19 @@ def _components(mask, nbr):
 def _independent(nbr):
     """Independent sets of the graph with neighbour masks `nbr`: (their
     number, the size of the largest), from one memo on the vertex set S.
-    Each connected component branches on its lowest-indexed max-degree
-    vertex v: f(S) = f(S-v) + f(S-v-N(v)) for the number, and the larger of
-    f(S-v) and 1 + f(S-v-N(v)) for the largest. Across components numbers
-    multiply and sizes add."""
+    With the vertices renumbered once by falling degree, then index, each
+    connected component branches on its lowest vertex v: f(S) = f(S-v) +
+    f(S-v-N(v)) for the number, the larger of f(S-v) and 1 + f(S-v-N(v))
+    for the largest. Across components numbers multiply and sizes add."""
+    order = sorted(range(len(nbr)), key=lambda v: -nbr[v].bit_count())  # stable: index breaks ties
+    new, renumbered = {1 << v: 1 << k for k, v in enumerate(order)}, []
+    for v in order:
+        m, out = nbr[v], 0
+        while m:
+            low = m & -m
+            m, out = m ^ low, out | new[low]
+        renumbered.append(out)
+    nbr = renumbered
     memo = {0: (1, 0)}
 
     def f(mask):
@@ -209,16 +213,10 @@ def _independent(nbr):
         for comp in _components(mask, nbr):
             got = memo.get(comp)
             if got is None:
-                v, best_deg, m = 0, -1, comp
-                while m:
-                    i = (m & -m).bit_length() - 1
-                    m &= m - 1
-                    deg = (nbr[i] & comp).bit_count()
-                    if deg > best_deg:
-                        v, best_deg = i, deg
-                rest = comp & ~(1 << v)
+                low = comp & -comp
+                rest = comp ^ low
                 n, big = f(rest)
-                sub_n, sub_big = f(rest & ~nbr[v])
+                sub_n, sub_big = f(rest & ~nbr[low.bit_length() - 1])
                 got = memo[comp] = n + sub_n, max(big, sub_big + 1)
             count *= got[0]
             largest += got[1]
@@ -229,7 +227,10 @@ def _independent(nbr):
 
 
 def count_independent_sets(adjacency) -> int:
-    """Independent sets of a graph given as neighbour index sets."""
+    """Independent sets of a graph given as neighbour index sets, each index
+    in 0..len(adjacency)-1."""
+    if not all(j in range(len(adjacency)) for a in adjacency for j in a):
+        raise ValidationError(f"neighbour indices must lie in 0..{len(adjacency) - 1}")
     return _independent([sum(1 << j for j in a) for a in adjacency])[0]
 
 
@@ -435,6 +436,4 @@ def ncs_lower_formula(N: int, c) -> int:
     c = Fraction(c)
     if c <= 0 or c * N < 1:
         raise ValidationError(f"need c > 0 and c*N >= 1, got c={c}, N={N}")
-    base = floor(c * N)
-    expo = floor(Fraction(N) / (2 * c))
-    return base ** expo
+    return floor(c * N) ** floor(Fraction(N) / (2 * c))

@@ -4,6 +4,8 @@ that ValidationError enforces.
 The CLI maps ValidationError to exit code 2 and CapExceeded to exit code 3.
 """
 
+import operator
+
 
 class ValidationError(ValueError):
     """An input violates a documented precondition or format."""
@@ -30,3 +32,10 @@ def is_integer(value) -> bool:
     """Whether `value` is an integer argument: it has __index__ and is not a
     bool (a float, a string or True is not)."""
     return hasattr(value, "__index__") and not isinstance(value, bool)
+
+
+def as_integer(value, name: str) -> int:
+    """`value` as an int; ValidationError naming `name` unless is_integer."""
+    if not is_integer(value):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)

@@ -34,7 +34,8 @@ def make_grid_graph(dim, vertices, edges) -> GridGraph:
     """Validate and canonicalize into a GridGraph.
 
     Edges are normalized to (min, max) and sorted; duplicates, self-loops,
-    bad indices, and duplicate vertices are rejected with their location.
+    bad indices, duplicate vertices and a vertex or list that is not iterable
+    are rejected with their location.
     The dimension and the edge endpoints must pass errors.is_integer and the
     coordinates must be ints; a bool is refused in each place.
     """
@@ -43,8 +44,11 @@ def make_grid_graph(dim, vertices, edges) -> GridGraph:
     dim = operator.index(dim)
     vts = []
     seen = {}
-    for idx, v in enumerate(vertices):
-        tv = tuple(v)
+    for idx, v in enumerate(_iterable(vertices, "vertices")):
+        try:
+            tv = tuple(v)
+        except TypeError:
+            raise ValidationError(f"vertex {idx} is not a coordinate list: {v!r}") from None
         if len(tv) != dim:
             raise ValidationError(f"vertex {idx} has {len(tv)} coordinates, expected {dim}")
         for x in tv:
@@ -57,7 +61,7 @@ def make_grid_graph(dim, vertices, edges) -> GridGraph:
     n = len(vts)
     canon = []
     eseen = {}
-    for pos, e in enumerate(edges):
+    for pos, e in enumerate(_iterable(edges, "edges")):
         try:
             i, j = e
         except (TypeError, ValueError):
@@ -77,6 +81,13 @@ def make_grid_graph(dim, vertices, edges) -> GridGraph:
         canon.append(pair)
     canon.sort()
     return GridGraph(dim, tuple(vts), tuple(canon))
+
+
+def _iterable(value, name):
+    try:
+        return iter(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be a list, got {value!r}") from None
 
 
 def validate_proper(g: GridGraph):

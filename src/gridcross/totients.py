@@ -38,14 +38,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ValidationError, is_integer
+from .errors import ValidationError, as_integer, is_integer
 from .geom import gcd_reduce
-
-
-def _integer(value, name: str) -> int:
-    if not is_integer(value):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    return operator.index(value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,7 +81,7 @@ def _large_prime_multiples(n: int, large):
 
 def totient_sieve(n_max: int) -> TotientTable:
     """Exact phi(0..n_max), phi(0) = 0, sieving by the primes up to sqrt(n_max)."""
-    n_max = _integer(n_max, "n_max")
+    n_max = as_integer(n_max, "n_max")
     if n_max < 1:
         raise ValidationError(f"n_max must be >= 1, got {n_max}")
     small, large = _primes(n_max)
@@ -118,7 +112,7 @@ def edge_pgrid_points(seg, p: int):
     Q is the subsequence with gcd(i, p) = 1. Every member of Q has
     essential_level exactly p, and |Q| = phi(p) for p >= 2.
     """
-    p = _integer(p, "p")
+    p = as_integer(p, "p")
     if p < 1:
         raise ValidationError(f"p must be >= 1, got {p}")
     direction, g = gcd_reduce(seg)
@@ -219,7 +213,7 @@ def _s3_exact(n: int, phi) -> Fraction:
 
 
 def totient_sums(n: int, table: TotientTable | None = None) -> TotientSums:
-    n = _integer(n, "n")
+    n = as_integer(n, "n")
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
     if table is None or table.n_max < n:
@@ -269,8 +263,8 @@ def verify_totient_inequalities(n_max: int, log_c: float = 0.05, window_start: i
     open, the exact s3 comes from _s3_exact and `exact_fallbacks` counts it.
     No tolerance enters.
     """
-    n_max = _integer(n_max, "n_max")
-    window_start = _integer(window_start, "window_start")
+    n_max = as_integer(n_max, "n_max")
+    window_start = as_integer(window_start, "window_start")
     if window_start < 2:
         raise ValidationError(f"window_start must be >= 2 (ln 1 = 0), got {window_start}")
     if n_max < window_start:

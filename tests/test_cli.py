@@ -264,6 +264,14 @@ def test_validation_failure_prints_one_line_error(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_cross_refuses_a_vertex_that_is_not_a_list(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"dim":1,"vertices":[1],"edges":[]}'))
+    assert main(["cross", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: vertex 0 is not a coordinate list: 1\n"
+
+
 @pytest.mark.parametrize("log_c", ["nan", "inf", "-inf"])
 def test_nt_check_rejects_non_finite_log_c(capsys, log_c):
     code = main(["nt", "--n-max", "50", "--check", f"--log-c={log_c}"])

@@ -152,6 +152,39 @@ def test_random_proper_graph_rejects_negative_edge_count():
         random_proper_graph((2, 2), -1, seed=0)
 
 
+EMPTY_2X2X2 = make_grid_graph(3, layer_grid_vertices(2, 3), [])
+
+
+@pytest.mark.parametrize("build, args, message", [
+    (layered_complete_bipartite, (True, 3), "k must be an integer, got True"),
+    (layered_complete_bipartite, (2.5, 3), "k must be an integer, got 2.5"),
+    (layered_complete_bipartite, (2, 3.0), "d must be an integer, got 3.0"),
+    (tile_bipartite, (True, 2, 3), "k must be an integer"),
+    (tile_bipartite, (2.0, 4.0, 3), "k must be an integer"),
+    (tile_bipartite, (2, 4, 3.0), "d must be an integer"),
+    (analytic_skip_bound, (2.5, 3), "k must be an integer"),
+    (analytic_skip_bound, (2, True), "d must be an integer"),
+    (random_proper_graph, ((3, 3), True, 1), "m must be an integer"),
+    (random_proper_graph, ((3, 3), 2.5, 1), "m must be an integer"),
+    (random_proper_graph, ((3, 3), 2, 1.5), "seed must be an integer"),
+    (random_proper_graph, ((3, 3), 2, "1"), "seed must be an integer"),
+    (augment_matching_to_spanning_tree, (EMPTY_2X2X2, 2.0, 3), "k must be an integer"),
+    (stack_layer_graphs, ({}, 2, True), "d must be an integer"),
+])
+def test_constructions_refuse_non_integer_arguments(build, args, message):
+    """A bool, float or string size, count or seed is a ValidationError under
+    errors.is_integer, where it was accepted or raised a raw TypeError."""
+    with pytest.raises(ValidationError, match=message):
+        build(*args)
+
+
+def test_constructions_take_numpy_integers_as_ints():
+    assert layered_complete_bipartite(np.int64(2), np.int8(3)) == layered_complete_bipartite(2, 3)
+    assert tile_bipartite(np.int64(1), np.int64(2), 3) == tile_bipartite(1, 2, 3)
+    assert analytic_skip_bound(np.int32(2), 3) == 24
+    assert random_proper_graph((3, 3), np.int64(4), np.int64(7)) == random_proper_graph((3, 3), 4, 7)
+
+
 def _matching_graph(k, d, pairs):
     verts = layer_grid_vertices(k, d)
     index = {v: i for i, v in enumerate(verts)}

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridcross import enumeration
-from gridcross.constructions import random_proper_graph
+from gridcross.constructions import layered_complete_bipartite, random_proper_graph
 from gridcross.enumeration import (
     CANDIDATE_CAP,
     ConflictGraph,
@@ -500,6 +500,71 @@ def test_memoized_counter_equals_subset_dp():
     for trial in range(30):
         adjacency = random_adjacency(rng, rng.randint(0, 16))
         assert count_independent_sets(adjacency) == brute_force_independent_sets(adjacency)[0]
+
+
+def relabelled(adjacency, perm):
+    """The graph with vertex v renamed perm[v]."""
+    out = [None] * len(adjacency)
+    for v, a in enumerate(adjacency):
+        out[perm[v]] = frozenset(perm[w] for w in a)
+    return out
+
+
+def test_search_is_invariant_under_relabelling():
+    """The search branches in an order that breaks degree ties by index, so
+    renaming the vertices changes the order it takes; the count and the
+    maximum must not change: random graphs against the subset DP, and the
+    enum-small conflict graphs against their own labels."""
+    rng = random.Random(97)
+    for trial in range(30):
+        adjacency = random_adjacency(rng, rng.randint(0, 16))
+        want = brute_force_independent_sets(adjacency)
+        for _ in range(3):
+            perm = rng.sample(range(len(adjacency)), len(adjacency))
+            nbr = [sum(1 << j for j in a) for a in relabelled(adjacency, perm)]
+            assert _independent(nbr) == want
+    for sides in [(3, 3), (2, 2, 2), (4, 3), (2, 2, 3)]:
+        sets = conflict_sets(build_conflict_graph(sides))
+        want = _independent([sum(1 << j for j in a) for a in sets])
+        for _ in range(3):
+            perm = rng.sample(range(len(sets)), len(sets))
+            nbr = [sum(1 << j for j in a) for a in relabelled(sets, perm)]
+            assert _independent(nbr) == want, sides
+
+
+# (subgraph count, MIS) of the largest grids under the candidate cap
+SEARCH_PINNED = {
+    (4, 4): (21092500504576, 33),
+    (4, 5): (483986543745171456, 43),
+    (3, 7): (985738738673909760, 44),
+    (2, 11): (17389147907948544, 41),
+    (2, 3, 3): (30923723391236463929589760, 57),
+}
+
+
+@pytest.mark.parametrize("sides, expected", SEARCH_PINNED.items(),
+                         ids=["x".join(map(str, s)) for s in SEARCH_PINNED])
+def test_subgraphs_and_mis_pinned(sides, expected):
+    record = enumeration_record(sides)
+    assert (record["subgraphs"], record["max_edges"]) == expected
+
+
+@pytest.mark.parametrize("k, layered", [(2, 6480), (3, 23343138357760)])
+def test_slab_identity(k, layered):
+    """No candidate of the k x k x 2 grid between the layers meets one inside
+    a layer, and the ones between the layers are the edges of the layered
+    complete bipartite drawing, so count(k x k x 2) = count(k x k)^2 times
+    the independent-set count of that drawing's conflict graph."""
+    slab = conflict_graph_from_segments(layered_complete_bipartite(k, 3).segments())
+    assert count_crossing_free_subgraphs(slab) == layered
+    assert count_crossing_free_subgraphs((k, k, 2)) == \
+        count_crossing_free_subgraphs((k, k)) ** 2 * layered
+
+
+@pytest.mark.parametrize("adjacency", [[{5}], [{1}, {-1}], [{1}, {0, 2}]])
+def test_count_independent_sets_refuses_indices_out_of_range(adjacency):
+    with pytest.raises(ValidationError, match="neighbour indices"):
+        count_independent_sets(adjacency)
 
 
 def test_independent_set_count_matches_networkx_cliques_of_complement():

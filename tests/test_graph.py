@@ -107,6 +107,19 @@ def test_parse_refuses_bool_dimension_and_endpoints():
         parse_graph('{"dim":1,"vertices":[[1],[3]],"edges":[[false,true]]}')
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"dim":1,"vertices":[1],"edges":[]}', "vertex 0 is not a coordinate list"),
+    ('{"dim":1,"vertices":5,"edges":[]}', "vertices must be a list"),
+    ('{"dim":1,"vertices":[[1]],"edges":3}', "edges must be a list"),
+    ('{"dim":1,"vertices":[[1]],"edges":null}', "edges must be a list"),
+], ids=["vertex", "vertices", "edges", "null-edges"])
+def test_parse_refuses_values_that_are_not_lists(text, message):
+    """A vertex, the vertex list or the edge list that is not iterable is a
+    ValidationError naming where it is, not a raw TypeError."""
+    with pytest.raises(ValidationError, match=message):
+        parse_graph(text)
+
+
 def test_make_grid_graph_takes_numpy_dimension_and_endpoints_as_ints():
     g = make_grid_graph(np.int64(2), [(1, 2), (3, 4)], [(np.int64(1), np.int8(0))])
     assert g == make_grid_graph(2, [(1, 2), (3, 4)], [(0, 1)])
