@@ -35,6 +35,7 @@ from .enumeration import (
     count_crossing_free_matchings,
     count_crossing_free_spanning_trees,
     count_crossing_free_subgraphs,
+    crossing_graph,
     max_crossing_free_edges,
     ncs_lower_formula,
     ncs_upper_formula,
@@ -61,4 +62,7 @@ from .totients import (
     verify_totient_inequalities,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+from types import ModuleType as _Module
+
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _Module))

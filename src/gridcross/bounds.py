@@ -52,6 +52,7 @@ def lower_bound_midpoint_bucket(g: GridGraph, check_proper: bool = True) -> Boun
 def lower_bound_midpoint_formula(N: int, m: int, d: int) -> Fraction:
     """max(0, (m^2 / ((2^d - 1) N) - m) / 2): a floor for any graph with
     volume <= N and m edges."""
+    N, m, d = as_integer(N, "N"), as_integer(m, "m"), as_integer(d, "d")
     if N < 1 or d < 1 or m < 0:
         raise ValidationError(f"need N >= 1, d >= 1, m >= 0; got N={N}, d={d}, m={m}")
     value = (Fraction(m * m, (2 ** d - 1) * N) - m) / 2
@@ -60,6 +61,9 @@ def lower_bound_midpoint_formula(N: int, m: int, d: int) -> Fraction:
 
 def default_p_max(m: int, N: int) -> int:
     """Largest p with p^3 * N <= m, clamped to [1, 16]."""
+    m, N = as_integer(m, "m"), as_integer(N, "N")
+    if N < 1 or m < 0:
+        raise ValidationError(f"need N >= 1, m >= 0; got m={m}, N={N}")
     p = 1
     while p < 16 and (p + 1) ** 3 * N <= m:
         p += 1
@@ -119,6 +123,7 @@ def lower_bound_essential_pgrid(g: GridGraph, p_max: int | None = None,
 def lower_bound_greedy_removal(N: int, m: int, d: int) -> int:
     """max(0, m - (2^d - 1) N): every edge beyond the crossing-free maximum
     forces at least one crossing."""
+    N, m, d = as_integer(N, "N"), as_integer(m, "m"), as_integer(d, "d")
     if N < 1 or d < 1 or m < 0:
         raise ValidationError(f"need N >= 1, d >= 1, m >= 0; got N={N}, d={d}, m={m}")
     return max(0, m - (2 ** d - 1) * N)

@@ -5,9 +5,10 @@ grid point (on a full grid: coprime coordinate differences). Two candidates
 conflict when their open segments share a point, so crossing-free edge
 subsets are exactly the independent sets of the conflict graph, built by the
 same pair kernel that counts crossings (_kernels.crossing_pairs) as one int
-bitmask of conflicts per candidate. Counts are edge-subset counts: a graph
-is identified with its edge set over the full grid, so isolated vertices
-never multiply anything.
+bitmask of conflicts per candidate. The candidates are the edges of a
+GridGraph: the full grid's here, a drawing's own edges in crossing_graph.
+Counts are edge-subset counts: a graph is identified with its edge set over
+the full grid, so isolated vertices never multiply anything.
 
 The subgraph count and the maximum (MIS) share one memoised search, which
 returns the number of independent sets and the largest size together. One
@@ -16,16 +17,16 @@ graph and then index; the search splits the vertex set into connected
 components and branches each on its first vertex in that order.
 enumeration_record takes a grid's subgraph count and MIS from one such pass.
 Matchings have their own search, which needs no component split: it walks
-the points in lexicographic order and branches on the candidates at the
-first point with one left, which a matching meets at most once.
-Spanning trees are counted by a frontier DP over the candidate edges,
-with state (component partition of the points still live, later edges still
-usable); a point leaves the state once its last candidate is processed, and
-a tree is counted once, on the one include/exclude path that takes exactly
-its edges.
+the vertices in index order (lexicographic on a grid) and branches on the
+candidates at the first vertex with one left, which a matching meets at
+most once. Spanning trees are counted by a frontier DP over the candidate
+edges, with state (component partition of the vertices still live, later
+edges still usable); a vertex leaves the state once its last candidate is
+processed, and a tree is counted once, on the one include/exclude path that
+takes exactly its edges.
 
 Everything here is deliberately capped: 141 candidates (the 2x11 grid) for
-the conflict graph, volume 9 for spanning trees. Up to the candidate cap no
+the conflict graph, 9 vertices for spanning trees. Up to the candidate cap no
 count takes more than about 0.3 s (the 2x3x3 matchings) on a 2-core Xeon
 with Python 3.11. Caps raise CapExceeded instead of truncating.
 """
@@ -42,7 +43,7 @@ import numpy as np
 
 from ._kernels import crossing_pairs
 from .errors import CapExceeded, ValidationError, as_integer, is_integer
-from .geom import check_segment
+from .graph import GridGraph
 
 CANDIDATE_CAP = 141
 TREE_VOLUME_CAP = 9
@@ -51,12 +52,12 @@ _BLOCK_DIFFERENCES = 1 << 20  # coordinate differences per candidate_blocks bloc
 
 @dataclass(frozen=True, eq=False)
 class ConflictGraph:
-    candidates: tuple  # segments, each a pair of point tuples
+    graph: GridGraph  # candidate i is the edge graph.edges[i]
     conflicts: tuple  # conflicts[i] = int mask of the candidates crossing candidate i
 
     @property
     def size(self) -> int:
-        return len(self.candidates)
+        return len(self.graph.edges)
 
     @property
     def conflict_count(self) -> int:
@@ -119,57 +120,41 @@ def build_conflict_graph(sides, cap: int = CANDIDATE_CAP) -> ConflictGraph:
     if as_integer(cap, "cap") < 0:
         raise ValidationError(f"cap must be >= 0, got {cap}")
     pts = grid_points(sides)
-    cands = []
+    edges = []
     for I, J in candidate_blocks(pts):
-        if len(cands) + len(I) > cap:
-            raise CapExceeded(
-                f"grid {tuple(sides)} has more than {cap} candidate edges")
-        cands += [(pts[i], pts[j]) for i, j in zip(I.tolist(), J.tolist())]
-    return _conflict_graph(cands)
+        if len(edges) + len(I) > cap:
+            raise CapExceeded(f"grid {tuple(sides)} has more than {cap} candidate edges")
+        edges += zip(I.tolist(), J.tolist())
+    return _conflict_graph(GridGraph(len(pts[0]), tuple(pts), tuple(edges)))
 
 
-def conflict_graph_from_segments(segments) -> ConflictGraph:
-    """Conflict graph over an explicit candidate list (deduplicated).
+def crossing_graph(g: GridGraph) -> ConflictGraph:
+    """The conflict graph of the drawing `g`: its edges are the candidates,
+    so the crossing-free subgraphs of g are the independent sets.
 
-    Every segment needs two distinct endpoints with integer coordinates (a
-    bool is not one), and all of them one dimension."""
-    cands = {}  # a dict keeps the first occurrence of each segment, in order
-    dims = set()
-    for seg in segments:
-        check_segment(seg)
-        a, b = (_lattice_point(p) for p in seg)
-        dims.add(len(a))
-        cands[(a, b) if a <= b else (b, a)] = None
-    if len(dims) > 1:
-        raise ValidationError(f"segments of different dimensions: {sorted(dims)}")
-    if len(cands) > CANDIDATE_CAP:
-        raise CapExceeded(f"{len(cands)} candidates exceed the cap {CANDIDATE_CAP}")
-    return _conflict_graph(list(cands))
+    Raises CapExceeded when g has more than CANDIDATE_CAP edges."""
+    if len(g.edges) > CANDIDATE_CAP:
+        raise CapExceeded(f"{len(g.edges)} edges exceed the cap {CANDIDATE_CAP}")
+    return _conflict_graph(g)
 
 
-def _lattice_point(p):
-    p = tuple(p)
-    if not all(is_integer(x) for x in p):
-        raise ValidationError(f"non-integer coordinate in {p!r}")
-    return tuple(operator.index(x) for x in p)
-
-
-def _conflict_graph(cands):
-    conflicts = [0] * len(cands)
-    for si, sj in crossing_pairs([a for a, _ in cands], [b for _, b in cands]):
+def _conflict_graph(g):
+    conflicts = [0] * len(g.edges)
+    ends = [g.vertices[i] for i, _ in g.edges], [g.vertices[j] for _, j in g.edges]
+    for si, sj in crossing_pairs(*ends):
         for i, j in zip(si.tolist(), sj.tolist()):
             conflicts[i] |= 1 << j
             conflicts[j] |= 1 << i
-    return ConflictGraph(tuple(cands), tuple(conflicts))
+    return ConflictGraph(g, tuple(conflicts))
 
 
-def _point_masks(candidates):
-    """{point: mask of the candidates ending there}, in lexicographic order."""
-    masks = {}
-    for e, seg in enumerate(candidates):
-        for p in seg:
-            masks[p] = masks.get(p, 0) | 1 << e
-    return dict(sorted(masks.items()))
+def _point_masks(g):
+    """masks[v] = mask of the edges of `g` at vertex v."""
+    masks = [0] * len(g.vertices)
+    for e, (a, b) in enumerate(g.edges):
+        masks[a] |= 1 << e
+        masks[b] |= 1 << e
+    return masks
 
 
 def _components(rest, nbr):
@@ -227,11 +212,16 @@ def _independent(nbr):
 
 
 def count_independent_sets(adjacency) -> int:
-    """Independent sets of a graph given as neighbour index sets, each index
-    in 0..len(adjacency)-1."""
-    if not all(j in range(len(adjacency)) for a in adjacency for j in a):
-        raise ValidationError(f"neighbour indices must lie in 0..{len(adjacency) - 1}")
-    return _independent([sum(1 << j for j in a) for a in adjacency])[0]
+    """Independent sets of a simple undirected graph given as neighbour index
+    sets of integers in 0..len(adjacency)-1 (not bools). A self-loop or a
+    neighbour listed on one side only is refused; one listed twice counts once."""
+    n = len(adjacency)
+    if not all(is_integer(j) and 0 <= j < n for a in adjacency for j in a):
+        raise ValidationError(f"neighbour indices must be integers in 0..{n - 1}")
+    for i, a in enumerate(adjacency):
+        if i in a or any(i not in adjacency[j] for j in a):
+            raise ValidationError(f"vertex {i} lists itself or a neighbour that does not list it")
+    return _independent([sum(1 << operator.index(j) for j in set(a)) for a in adjacency])[0]
 
 
 def count_crossing_free_subgraphs(grid) -> int:
@@ -244,25 +234,25 @@ def count_crossing_free_subgraphs(grid) -> int:
 def count_crossing_free_matchings(grid) -> int:
     """Crossing-free edge subsets that are also vertex-disjoint.
 
-    Independent sets of the conflict graph plus the point-sharing relation,
-    counted by _matchings over the points in lexicographic order. `grid` is
-    either grid sides or a prebuilt ConflictGraph.
+    Independent sets of the conflict graph plus the endpoint-sharing
+    relation, counted by _matchings over the vertices in index order. `grid`
+    is either grid sides or a prebuilt ConflictGraph.
     """
     cg = _conflict_graph_of(grid)
-    at = _point_masks(cg.candidates)
-    nbr = [c | at[a] | at[b] for c, (a, b) in zip(cg.conflicts, cg.candidates)]
-    return _matchings(nbr, list(at.values()))
+    at = _point_masks(cg.graph)
+    nbr = [c | at[a] | at[b] for c, (a, b) in zip(cg.conflicts, cg.graph.edges)]
+    return _matchings(nbr, at)
 
 
 def _matchings(nbr, points):
     """Independent sets of the graph with neighbour masks `nbr` (each mask
-    holding its own bit), where points[i] masks the candidates at point i.
+    holding its own bit), where points[i] masks the candidates at vertex i.
 
-    f(S) scans to the first point i with a candidate left in S; a matching
+    f(S) scans to the first vertex i with a candidate left in S; a matching
     takes at most one of its candidates K = points[i] & S, so f(S) = f(S-K)
-    + sum_{e in K} f(S-N[e]). Every point before i has no candidate left in
+    + sum_{e in K} f(S-N[e]). Every vertex before i has no candidate left in
     S or in any subset of it, so the scan resumes at i + 1, f depends on S
-    alone, and the recursion is at most one level deeper per point."""
+    alone, and the recursion is at most one level deeper per vertex."""
     memo = {0: 1}
 
     def f(mask, i):
@@ -304,20 +294,20 @@ def bose_formula(sides) -> int:
     return a - b
 
 
-def count_crossing_free_spanning_trees(sides) -> int:
+def count_crossing_free_spanning_trees(grid) -> int:
     """Spanning trees of the candidate graph with pairwise non-crossing edges.
 
-    Raises CapExceeded above TREE_VOLUME_CAP points, before any conflict
-    graph is built.
+    `grid` is either grid sides or a prebuilt ConflictGraph. Raises
+    CapExceeded above TREE_VOLUME_CAP vertices; for sides, before any
+    conflict graph is built.
     """
-    pts = grid_points(sides)
-    if len(pts) > TREE_VOLUME_CAP:
-        raise CapExceeded(
-            f"grid volume {len(pts)} exceeds the spanning-tree cap {TREE_VOLUME_CAP}")
-    return _spanning_trees(pts, build_conflict_graph(sides))
+    volume = len(grid.graph.vertices if isinstance(grid, ConflictGraph) else grid_points(grid))
+    if volume > TREE_VOLUME_CAP:
+        raise CapExceeded(f"{volume} vertices exceed the spanning-tree cap {TREE_VOLUME_CAP}")
+    return _spanning_trees(_conflict_graph_of(grid))
 
 
-def _spanning_trees(pts, cg: ConflictGraph) -> int:
+def _spanning_trees(cg: ConflictGraph) -> int:
     """Frontier DP over the candidate edges of `cg` in conflict-graph order.
 
     A state is one int packing each live point's component (a mask of live
@@ -337,9 +327,7 @@ def _spanning_trees(pts, cg: ConflictGraph) -> int:
     Later candidates touch only live points, so the merges and bans are
     unchanged.
     """
-    volume = len(pts)
-    index = {p: i for i, p in enumerate(pts)}
-    ends = [(index[a], index[b]) for a, b in cg.candidates]
+    volume, ends = len(cg.graph.vertices), cg.graph.edges
     t, full, usable = cg.size, (1 << volume) - 1, (1 << cg.size) - 1
     # Point p's component sits at bit t + volume*p of the key. For a point set
     # S, inc[S] masks the candidates touching S and adding X * rep[S] adds X to
@@ -347,9 +335,7 @@ def _spanning_trees(pts, cg: ConflictGraph) -> int:
     # candidate is e.
     inc, rep, start = [0] * (1 << volume), [0] * (1 << volume), usable
     retire = [[] for _ in ends]
-    at = _point_masks(cg.candidates)
-    for p, pt in enumerate(pts):
-        touching = at.get(pt, 0)
+    for p, touching in enumerate(_point_masks(cg.graph)):
         for s in range(1 << p):
             inc[s | 1 << p] = inc[s] | touching
             rep[s | 1 << p] = rep[s] | 1 << (t + volume * p)
@@ -396,9 +382,8 @@ def enumeration_record(sides, cap: int = CANDIDATE_CAP) -> dict:
     ncs_upper. Raises CapExceeded when the grid has more than `cap`
     candidate edges.
     """
-    pts = grid_points(sides)
-    volume = len(pts)
     cg = build_conflict_graph(sides, cap=cap)
+    volume = len(cg.graph.vertices)
     subgraphs, mis = _independent(cg.conflicts)
     matchings = count_crossing_free_matchings(cg)
     bose = bose_formula(sides)
@@ -412,7 +397,7 @@ def enumeration_record(sides, cap: int = CANDIDATE_CAP) -> dict:
         "bose": bose,
         "subgraphs": subgraphs,
         "matchings": matchings,
-        "spanning_trees": _spanning_trees(pts, cg) if volume <= TREE_VOLUME_CAP else None,
+        "spanning_trees": _spanning_trees(cg) if volume <= TREE_VOLUME_CAP else None,
         "ncs_upper": upper,
         "consistent": mis == bose and matchings <= subgraphs <= (upper or subgraphs),
     }
@@ -421,6 +406,7 @@ def enumeration_record(sides, cap: int = CANDIDATE_CAP) -> dict:
 def ncs_upper_formula(N: int, d: int) -> int:
     """2^B' * C(M, B') with M = C(N, 2) and B' = min((2^d - 1) N, M):
     an upper bound on the number of crossing-free edge subsets."""
+    N, d = as_integer(N, "N"), as_integer(d, "d")
     if N < 2:
         raise ValidationError(f"N must be >= 2, got {N}")
     if d < 1:

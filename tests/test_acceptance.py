@@ -34,11 +34,11 @@ from gridcross.counting import count_crossings_naive, count_crossings_pruned
 from gridcross.enumeration import (
     bose_formula,
     build_conflict_graph,
-    conflict_graph_from_segments,
     count_crossing_free_matchings,
     count_crossing_free_spanning_trees,
     count_crossing_free_subgraphs,
     count_independent_sets,
+    crossing_graph,
     max_crossing_free_edges,
     ncs_upper_formula,
 )
@@ -232,9 +232,9 @@ def _enumerate_crossing_free_matchings(cg):
     n = cg.size
     nbr = list(cg.conflicts)
     for i in range(n):
-        pi = set(cg.candidates[i])
+        pi = set(cg.graph.edges[i])
         for j in range(i + 1, n):
-            if pi & set(cg.candidates[j]):
+            if pi & set(cg.graph.edges[j]):
                 nbr[i] |= 1 << j
                 nbr[j] |= 1 << i
     found = []
@@ -264,16 +264,13 @@ def test_criterion_8_counting_consistency():
         # to a crossing-free spanning tree that contains it
         k, d = 2, 3
         bip = layered_complete_bipartite(k, d)
-        cg = conflict_graph_from_segments(bip.segments())
+        cg = crossing_graph(bip)
         matchings = _enumerate_crossing_free_matchings(cg)
-        assert len(matchings) >= 9
-        verts = layer_grid_vertices(k, d)
-        index = {v: i for i, v in enumerate(verts)}
+        assert len(matchings) == count_crossing_free_matchings(cg) == 154
         for chosen in matchings:
-            pairs = [cg.candidates[e] for e in chosen]
-            m = make_grid_graph(d, verts, [(index[a], index[b]) for a, b in pairs])
+            m = make_grid_graph(d, bip.vertices, [bip.edges[e] for e in chosen])
             tree = augment_matching_to_spanning_tree(m, k, d)
-            assert len(tree.edges) == len(verts) - 1
+            assert len(tree.edges) == len(bip.vertices) - 1
             assert set(m.edges) <= set(tree.edges)
             assert count_crossings_naive(tree, check_proper=False).total == 0
         print(f"  [criterion 8] augmented all {len(matchings)} matchings of the 2x2x2 drawing")

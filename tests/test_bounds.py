@@ -112,6 +112,26 @@ def test_default_p_max_follows_cube_root_and_clamps():
     assert default_p_max(10 ** 9, 1) == 16
 
 
+@pytest.mark.parametrize("bound, args, message", [
+    (lower_bound_greedy_removal, (4, 2.5, 2), "m must be an integer"),
+    (lower_bound_greedy_removal, (True, 9, True), "N must be an integer"),
+    (lower_bound_midpoint_formula, (True, 3, 2), "N must be an integer"),
+    (lower_bound_midpoint_formula, (2.5, 3, 2), "N must be an integer"),
+    (lower_bound_midpoint_formula, (4, 3, "2"), "d must be an integer"),
+    (default_p_max, (10, 1.0), "N must be an integer"),
+    (default_p_max, (False, 1), "m must be an integer"),
+    (default_p_max, (10, 0), "need N >= 1, m >= 0"),
+    (default_p_max, (-1, 1), "need N >= 1, m >= 0"),
+], ids=["greedy-float-m", "greedy-bools", "midpoint-bool-N", "midpoint-float-N",
+        "midpoint-string-d", "p_max-float-N", "p_max-bool-m", "p_max-N-0", "p_max-m-negative"])
+def test_closed_forms_refuse_bad_arguments(bound, args, message):
+    """The closed forms take integers only (a bool, float or string was read
+    as a number or raised a raw TypeError), and default_p_max needs a volume
+    N >= 1 and an edge count m >= 0 (N = 0 gave 16)."""
+    with pytest.raises(ValidationError, match=message):
+        bound(*args)
+
+
 def test_certificates_sound_on_random_graphs():
     rng = random.Random(47)
     table = totient_sieve(8)

@@ -17,11 +17,11 @@ from gridcross.enumeration import (
     bose_formula,
     build_conflict_graph,
     candidate_blocks,
-    conflict_graph_from_segments,
     count_crossing_free_matchings,
     count_crossing_free_spanning_trees,
     count_crossing_free_subgraphs,
     count_independent_sets,
+    crossing_graph,
     enumeration_record,
     grid_points,
     max_crossing_free_edges,
@@ -31,6 +31,7 @@ from gridcross.enumeration import (
 from gridcross.enumeration import _independent, _matchings
 from gridcross.errors import CapExceeded, ValidationError
 from gridcross.geom import CrossKind, gcd_reduce, segments_cross
+from gridcross.graph import make_grid_graph
 
 
 def brute_force_independent_sets(adjacency):
@@ -75,6 +76,15 @@ def core(sides):
 
 def candidate_count(sides):
     return sum(len(I) for I, _ in candidate_blocks(grid_points(sides)))
+
+
+def drawing(segs):
+    """The GridGraph whose edges are the segments `segs`, each taken once,
+    on their endpoints in lexicographic order."""
+    pts = sorted({p for seg in segs for p in seg})
+    index = {p: i for i, p in enumerate(pts)}
+    edges = {tuple(sorted((index[a], index[b]))) for a, b in segs}
+    return make_grid_graph(len(pts[0]) if pts else 1, pts, edges)
 
 
 def candidate_list(pts):
@@ -165,7 +175,7 @@ def test_cap_refusal_stops_after_the_first_block():
 
 
 GRID_COUNTS = (count_crossing_free_subgraphs, count_crossing_free_matchings,
-               max_crossing_free_edges)
+               max_crossing_free_edges, count_crossing_free_spanning_trees)
 
 
 @pytest.mark.parametrize("sides", [(2.7, 2), (True, 2), ("3", 2), (2, None), (2, 2.0),
@@ -189,12 +199,28 @@ def test_empty_grid_is_refused():
 
 
 def test_conflict_graph_from_layered_bipartite_edges():
-    from gridcross.constructions import layered_complete_bipartite
-
+    """The k = 2, d = 3 layered drawing: its 7-edge crossing-free subsets
+    that join its 8 vertices are listed by brute force."""
     g = layered_complete_bipartite(2, 3)
-    cg = conflict_graph_from_segments(g.segments())
+    cg = crossing_graph(g)
+    assert cg.graph is g
     assert cg.size == 16
     assert cg.conflict_count == 10
+    assert count_crossing_free_subgraphs(cg) == 6480
+    assert count_crossing_free_matchings(cg) == 154
+    assert len(subset_filter_trees(cg)) == count_crossing_free_spanning_trees(cg) == 424
+
+
+def test_crossing_graph_cap():
+    """A drawing's edges count against CANDIDATE_CAP: the 256 edges of the
+    k = 4 layered drawing are refused, and the 141 of the 2x11 grid pass,
+    with the grid's own conflicts."""
+    with pytest.raises(CapExceeded, match="256 edges exceed the cap 141"):
+        crossing_graph(layered_complete_bipartite(4, 3))
+    grid = build_conflict_graph((2, 11))
+    cg = crossing_graph(grid.graph)
+    assert cg.size == CANDIDATE_CAP
+    assert cg.conflicts == grid.conflicts
 
 
 def conflict_sets(cg):
@@ -221,13 +247,13 @@ CONFLICT_ORACLE_GRIDS = [(1, 5), (3, 3), (2, 2, 2), (2, 2, 3), (2, 3, 3), (2, 11
                          ids=["x".join(map(str, s)) for s in CONFLICT_ORACLE_GRIDS])
 def test_conflict_graph_matches_segments_cross(sides):
     cg = build_conflict_graph(sides)
-    assert conflict_sets(cg) == segments_cross_adjacency(cg.candidates)
+    assert conflict_sets(cg) == segments_cross_adjacency(cg.graph.segments())
 
 
 def test_conflict_graph_from_segments_matches_segments_cross():
-    """Random segments of a small box plus runs of non-primitive, overlapping
-    and nested segments on shared lines, in 1 to 4 dimensions, in place and
-    scaled far past int64."""
+    """The crossing graph of a drawing of random segments of a small box plus
+    runs of non-primitive, overlapping and nested segments on shared lines,
+    in 1 to 4 dimensions, in place and scaled far past int64."""
     rng = random.Random(83)
     lists = [[((0,), (3,)), ((1,), (2,)), ((3,), (5,)), ((4,), (9,)), ((2,), (7,))]]
     for dim in (2, 3, 4):
@@ -244,20 +270,9 @@ def test_conflict_graph_from_segments_matches_segments_cross():
         assert CrossKind.COLLINEAR_OVERLAP in kinds
         assert CrossKind.POINT_CROSS in kinds or len(segs[0][0]) == 1
         for scale in (1, 10 ** 20):
-            cg = conflict_graph_from_segments(
-                [tuple(tuple(scale * x for x in p) for p in seg) for seg in segs])
-            assert conflict_sets(cg) == segments_cross_adjacency(cg.candidates)
-
-
-@pytest.mark.parametrize("segments, message", [
-    ([((0, 0), (1, 1)), ((2, 2), (2, 2))], "degenerate"),
-    ([((0, 0), (1, 1)), ((0, 0, 0), (1, 1, 1))], "different dimensions"),
-    ([((0, 0), (1, 1)), ((0, Fraction(1, 2)), (1, 0))], "non-integer"),
-    ([((True, 0), (0, 1))], "non-integer"),
-], ids=["degenerate", "mixed-dimensions", "non-integer", "bool"])
-def test_conflict_graph_from_segments_rejects_bad_segments(segments, message):
-    with pytest.raises(ValidationError, match=message):
-        conflict_graph_from_segments(segments)
+            cg = crossing_graph(drawing(
+                [tuple(tuple(scale * x for x in p) for p in seg) for seg in segs]))
+            assert conflict_sets(cg) == segments_cross_adjacency(cg.graph.segments())
 
 
 def test_count_subgraphs_2x2():
@@ -266,16 +281,17 @@ def test_count_subgraphs_2x2():
 
 
 def test_count_subgraphs_trivial_cases():
-    empty = ConflictGraph((), ())
+    empty = crossing_graph(make_grid_graph(1, [], []))
     assert count_crossing_free_subgraphs(empty) == 1
-    five = ConflictGraph(tuple(((i, 0), (i, 1)) for i in range(5)), (0,) * 5)
+    five = crossing_graph(drawing([((i, 0), (i, 1)) for i in range(5)]))
+    assert five.conflict_count == 0
     assert count_crossing_free_subgraphs(five) == 32
 
 
 def test_counts_take_sides_or_a_conflict_graph():
     """Grid sides and the grid's prebuilt conflict graph give the same counts."""
-    for sides, expected in {(2, 2): (48, 9, 5), (1, 3): (4, 3, 2),
-                            (2, 2, 2): (14929920, 660, 19)}.items():
+    for sides, expected in {(2, 2): (48, 9, 5, 12), (1, 3): (4, 3, 2, 1),
+                            (2, 2, 2): (14929920, 660, 19, 120000)}.items():
         assert tuple(count(sides) for count in GRID_COUNTS) == expected
         assert tuple(count(build_conflict_graph(sides)) for count in GRID_COUNTS) == expected
 
@@ -329,7 +345,7 @@ def test_matchings_against_backtracking(sides):
 def test_matchings_of_segment_sets_against_backtracking(segs):
     """Arbitrary segments of a small box in 1 to 3 dimensions: often sparse
     and disconnected, and free to pass through lattice points and overlap."""
-    assert count_crossing_free_matchings(conflict_graph_from_segments(segs)) == (
+    assert count_crossing_free_matchings(crossing_graph(drawing(segs))) == (
         brute_force_matchings(segs))
 
 
@@ -373,23 +389,16 @@ SUBSET_FILTER_GRIDS = {
 }
 
 
-@pytest.mark.parametrize("sides, expected", SUBSET_FILTER_GRIDS.items(),
-                         ids=["x".join(map(str, s)) for s in SUBSET_FILTER_GRIDS])
-def test_spanning_trees_against_subset_filter(sides, expected):
-    """Brute force: every (volume - 1)-subset of candidates that has no
-    conflicting pair and no cycle (union-find) is a tree."""
-    from gridcross.counting import count_crossings_naive
-    from gridcross.graph import make_grid_graph
-
-    cg = build_conflict_graph(sides)
-    pts = grid_points(sides)
-    index = {p: i for i, p in enumerate(pts)}
+def subset_filter_trees(cg):
+    """Brute force: every (vertex count - 1)-subset of candidates that has no
+    conflicting pair and no cycle (union-find) is a spanning tree."""
+    volume = len(cg.graph.vertices)
     conflicts = conflict_sets(cg)
     trees = []
-    for subset in combinations(range(cg.size), len(pts) - 1):
+    for subset in combinations(range(cg.size), volume - 1):
         if any(j in conflicts[i] for i, j in combinations(subset, 2)):
             continue
-        parent = list(range(len(pts)))
+        parent = list(range(volume))
 
         def find(x):
             while parent[x] != x:
@@ -399,19 +408,27 @@ def test_spanning_trees_against_subset_filter(sides, expected):
 
         ok = True
         for e in subset:
-            a, b = (index[p] for p in cg.candidates[e])
-            ra, rb = find(a), find(b)
+            ra, rb = (find(v) for v in cg.graph.edges[e])
             if ra == rb:
                 ok = False
                 break
             parent[ra] = rb
         if ok:
             trees.append(subset)
+    return trees
+
+
+@pytest.mark.parametrize("sides, expected", SUBSET_FILTER_GRIDS.items(),
+                         ids=["x".join(map(str, s)) for s in SUBSET_FILTER_GRIDS])
+def test_spanning_trees_against_subset_filter(sides, expected):
+    from gridcross.counting import count_crossings_naive
+
+    cg = build_conflict_graph(sides)
+    trees = subset_filter_trees(cg)
     assert len(trees) == expected == count_crossing_free_spanning_trees(sides)
     # each enumerated tree really is a crossing-free drawing
     for subset in trees:
-        edges = [(index[a], index[b]) for a, b in (cg.candidates[e] for e in subset)]
-        g = make_grid_graph(len(sides), pts, edges)
+        g = make_grid_graph(len(sides), cg.graph.vertices, [cg.graph.edges[e] for e in subset])
         assert count_crossings_naive(g).total == 0
 
 
@@ -448,7 +465,12 @@ def test_spanning_trees_invariant_under_axis_permutation_and_unit_axes(monkeypat
 
 
 def test_spanning_trees_cap(monkeypatch):
+    """The cap counts vertices: a prebuilt graph past it is refused, and
+    grid sides past it are refused before a conflict graph is built."""
     import gridcross.enumeration as enumeration
+
+    with pytest.raises(CapExceeded, match="10 vertices exceed the spanning-tree cap 9"):
+        count_crossing_free_spanning_trees(build_conflict_graph((2, 5)))
 
     def no_conflict_graph(*args, **kwargs):
         raise AssertionError("conflict graph built past the volume cap")
@@ -555,16 +577,39 @@ def test_slab_identity(k, layered):
     a layer, and the ones between the layers are the edges of the layered
     complete bipartite drawing, so count(k x k x 2) = count(k x k)^2 times
     the independent-set count of that drawing's conflict graph."""
-    slab = conflict_graph_from_segments(layered_complete_bipartite(k, 3).segments())
+    slab = crossing_graph(layered_complete_bipartite(k, 3))
     assert count_crossing_free_subgraphs(slab) == layered
     assert count_crossing_free_subgraphs((k, k, 2)) == \
         count_crossing_free_subgraphs((k, k)) ** 2 * layered
 
 
-@pytest.mark.parametrize("adjacency", [[{5}], [{1}, {-1}], [{1}, {0, 2}]])
+@pytest.mark.parametrize("adjacency", [[{5}], [{1}, {-1}], [{1}, {0, 2}], [{True}, {0}],
+                                       [[1.0], [0]], [["1"], [0]]])
 def test_count_independent_sets_refuses_indices_out_of_range(adjacency):
+    """An index outside the vertex range, or one that is not an integer (a
+    bool was read as 1, a float raised a raw TypeError), is refused."""
     with pytest.raises(ValidationError, match="neighbour indices"):
         count_independent_sets(adjacency)
+
+
+def test_count_independent_sets_reads_each_neighbour_once():
+    """A neighbour listed twice is one edge (the list [1, 1] raised a raw
+    KeyError), and a numpy index is an integer."""
+    assert count_independent_sets([[1, 1], [0]]) == 3
+    assert count_independent_sets([[np.int64(1)], [np.int64(0)]]) == 3
+
+
+@pytest.mark.parametrize("adjacency", [[{0}], [{1}, {0, 1}], [{1, 2}, set(), set()],
+                                       [set(), {0}, {0}], [{1, 2}, {0}, set()]],
+                         ids=["self-loop", "self-loop-in-edge", "star-one-sided",
+                              "star-mirror", "star-half"])
+def test_count_independent_sets_refuses_a_graph_that_is_not_simple(adjacency):
+    """A self-loop or a neighbour listed on one side only is refused; the
+    search reads neither correctly ([{0}] gave 2, and the one-sided stars 5
+    or 6 by side). The star listed on both sides has its 5 independent sets."""
+    with pytest.raises(ValidationError, match="lists itself or a neighbour"):
+        count_independent_sets(adjacency)
+    assert count_independent_sets([{1, 2}, {0}, {0}]) == 5
 
 
 def test_independent_set_count_matches_networkx_cliques_of_complement():
@@ -599,7 +644,7 @@ def test_mis_matches_networkx_clique_of_complement():
         g.add_nodes_from(range(t))
         g.add_edges_from((i, j) for i in range(t) for j in adjacency[i])
         _, weight = nx.max_weight_clique(nx.complement(g), weight=None)
-        cg = ConflictGraph(tuple(((v, 0), (v, 1)) for v in range(t)),
+        cg = ConflictGraph(drawing([((v, 0), (v, 1)) for v in range(t)]),
                            tuple(sum(1 << j for j in a) for a in adjacency))
         assert max_crossing_free_edges(cg) == weight
 
@@ -646,6 +691,14 @@ def test_ncs_upper_examples():
     assert ncs_upper_formula(4, 2) == 64
     assert ncs_upper_formula(2, 3) == 2
     assert ncs_upper_formula(2, 7) == 2
+
+
+def test_ncs_upper_refuses_non_integers():
+    """(4, True) was read as d = 1 and (4.0, 2) raised a raw TypeError."""
+    for N, d, name in [(4, True, "d"), (4.0, 2, "N"), ("4", 2, "N"), (4, 2.0, "d")]:
+        with pytest.raises(ValidationError, match=f"{name} must be an integer"):
+            ncs_upper_formula(N, d)
+    assert ncs_upper_formula(np.int64(4), np.int64(2)) == 64
 
 
 def test_ncs_upper_monotone_in_n():
