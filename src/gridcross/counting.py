@@ -8,6 +8,9 @@ Two counters with identical results on every input:
   bounding-box pruning and a vectorized exact test, on int64 arrays when
   the coordinate spread is at most 2 * SAFE_COORD and on Python ints
   otherwise.
+
+Only the fast path needs numpy, so it imports the kernel on its first call;
+importing this module, or counting naively, leaves numpy unloaded.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from . import _kernels
 from .geom import segments_cross
 from .graph import GridGraph, require_proper
 
@@ -54,6 +56,7 @@ def count_crossings_naive(g: GridGraph, check_proper: bool = True) -> CrossingRe
 
 def count_crossings_pruned(g: GridGraph, check_proper: bool = True) -> CrossingReport:
     """Fast count; totals and per-edge histogram match the naive counter exactly."""
+    from . import _kernels
     if check_proper:
         require_proper(g)
     pts = g.vertices

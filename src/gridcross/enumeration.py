@@ -29,6 +29,9 @@ Everything here is deliberately capped: 141 candidates (the 2x11 grid) for
 the conflict graph, 9 vertices for spanning trees. Up to the candidate cap no
 count takes more than about 0.3 s (the 2x3x3 matchings) on a 2-core Xeon
 with Python 3.11. Caps raise CapExceeded instead of truncating.
+
+numpy is imported on first use, by candidate_blocks and by the conflict-graph
+build; the searches and the closed forms never load it.
 """
 
 from __future__ import annotations
@@ -39,9 +42,6 @@ from fractions import Fraction
 from itertools import product
 from math import comb, floor
 
-import numpy as np
-
-from ._kernels import crossing_pairs
 from .errors import CapExceeded, ValidationError, as_integer, is_integer
 from .graph import GridGraph
 
@@ -90,6 +90,7 @@ def candidate_blocks(pts):
     point), in lexicographic order, one (I, J) per block of rows i. A block
     holds at most about 2^20 differences, so memory stays bounded and a caller
     can stop early. Grid differences are below the largest side: int64 is exact."""
+    import numpy as np
     P = np.array(pts, dtype=np.int64)
     n, d = P.shape
     step = max(1, _BLOCK_DIFFERENCES // (n * d))
@@ -101,6 +102,7 @@ def _coprime_pairs(P, start, stop):
     # one block: the pairs i < j, start <= i < stop, of rows of P with
     # coprime differences; the difference table is freed on return, before
     # the caller asks for the next block
+    import numpy as np
     rows, cols = np.arange(start, stop), np.arange(start + 1, len(P))
     g = np.abs(P[cols, 0] - P[rows, 0, None])
     for k in range(1, P.shape[1]):
@@ -139,6 +141,7 @@ def crossing_graph(g: GridGraph) -> ConflictGraph:
 
 
 def _conflict_graph(g):
+    from ._kernels import crossing_pairs
     conflicts = [0] * len(g.edges)
     ends = [g.vertices[i] for i, _ in g.edges], [g.vertices[j] for _, j in g.edges]
     for si, sj in crossing_pairs(*ends):
@@ -417,8 +420,16 @@ def ncs_upper_formula(N: int, d: int) -> int:
 
 
 def ncs_lower_formula(N: int, c) -> int:
-    """floor(c N) ** floor(N / (2 c)): the closed-form growth floor obtained
-    from repeatedly picking an edge that excludes at most c N - 1 others."""
+    """floor(c N) ** floor(N / (2 c)) for an integer N and an int or Fraction
+    c with c > 0 and c N >= 1 (a bool, float or string is refused).
+
+    With N the points of layered_complete_bipartite(k, d) and c N - 1 its
+    analytic_skip_bound(k, d), as in growth_hd, it is at most the number of
+    crossing-free subgraphs of that drawing; the tests check this for
+    (k, d) = (2, 3), (2, 4) and (3, 3)."""
+    N = as_integer(N, "N")
+    if not (is_integer(c) or isinstance(c, Fraction)):
+        raise ValidationError(f"c must be an integer or a Fraction, got {c!r}")
     c = Fraction(c)
     if c <= 0 or c * N < 1:
         raise ValidationError(f"need c > 0 and c*N >= 1, got c={c}, N={N}")

@@ -26,6 +26,9 @@ compares them with the float threshold times 2^_S3_BITS (Python compares an
 int with a float exactly), and calls `_s3_exact` only where those bounds
 leave a decision open. Each decision is settled by exact comparisons, so the
 three agree exactly.
+
+numpy is imported by the sieve on its first call, not with the module, so
+essential_level and edge_pgrid_points, which bounds uses, never load it.
 """
 
 from __future__ import annotations
@@ -35,8 +38,6 @@ import numbers
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import ValidationError, as_integer, is_integer
 from .geom import gcd_reduce
@@ -53,6 +54,7 @@ class TotientTable:
         return memoryview(self.phi)
 
     def __getitem__(self, i: int) -> int:
+        i = as_integer(i, "phi index")
         if not 0 <= i <= self.n_max:
             raise IndexError(f"phi index {i!r} outside 0..{self.n_max}")
         return self.view[i]
@@ -61,6 +63,7 @@ class TotientTable:
 def _primes(n: int):
     """(small, large): the primes p <= isqrt(n) as a list, and the primes
     isqrt(n) < P <= n ascending, as an int64 array."""
+    import numpy as np
     root = math.isqrt(n)
     composite = np.zeros(n + 1, dtype=bool)
     small = []
@@ -76,7 +79,7 @@ def _large_prime_multiples(n: int, large):
     (those above isqrt(n)) with ps * k <= n. Each i <= n with a prime factor
     P above isqrt(n) is P * k for exactly one such pair, and k < P."""
     for k in range(1, n // (math.isqrt(n) + 1) + 1):
-        yield k, large[:np.searchsorted(large, n // k, "right")]
+        yield k, large[:large.searchsorted(n // k, "right")]
 
 
 def totient_sieve(n_max: int) -> TotientTable:
@@ -84,6 +87,7 @@ def totient_sieve(n_max: int) -> TotientTable:
     n_max = as_integer(n_max, "n_max")
     if n_max < 1:
         raise ValidationError(f"n_max must be >= 1, got {n_max}")
+    import numpy as np
     small, large = _primes(n_max)
     phi = np.arange(n_max + 1, dtype=np.int64)
     phi[0] = 0
@@ -184,6 +188,7 @@ def _s3_split(phi, order, a: int, b: int):
 def _s3_order(n: int):
     """1..n, the i without a prime factor above isqrt(n) first and ascending,
     then P, 2P, ..., (n // P) P for each larger prime P ascending."""
+    import numpy as np
     _, large = _primes(n)
     order = np.empty(n, dtype=np.int64)
     counts = n // large

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridcross import enumeration
-from gridcross.constructions import layered_complete_bipartite, random_proper_graph
+from gridcross.constructions import analytic_skip_bound, layered_complete_bipartite, random_proper_graph
 from gridcross.enumeration import (
     CANDIDATE_CAP,
     ConflictGraph,
@@ -722,5 +722,24 @@ def test_ncs_lower_examples():
     assert ncs_lower_formula(4, 1) == 16
     assert ncs_lower_formula(2, 1) == 2
     assert ncs_lower_formula(2, Fraction(3, 2)) == 1  # exponent floor(2/3) = 0
+    assert ncs_lower_formula(np.int64(4), np.int64(1)) == 16
     with pytest.raises(ValidationError):
         ncs_lower_formula(3, Fraction(1, 100))
+
+
+@pytest.mark.parametrize("N, c", [(4.5, 1), (True, 1), ("4", 1), (4, True), (4, "1/2"), (4, 1.0)])
+def test_ncs_lower_refuses_non_integer_n_and_inexact_c(N, c):
+    with pytest.raises(ValidationError):
+        ncs_lower_formula(N, c)
+
+
+@pytest.mark.parametrize("k, d, floor_, count", [
+    (2, 3, 25, 6480), (2, 4, 1, 19131876000000), (3, 3, 4489, 23343138357760)])
+def test_ncs_lower_is_below_the_layered_drawings_count(k, d, floor_, count):
+    # c as growth_hd takes it; i(H) counts the drawing's crossing-free subgraphs
+    g = layered_complete_bipartite(k, d)
+    n = len(g.vertices)
+    c = (analytic_skip_bound(k, d) + 1) / n
+    assert ncs_lower_formula(n, c) == floor_
+    assert count_crossing_free_subgraphs(crossing_graph(g)) == count
+    assert floor_ <= count

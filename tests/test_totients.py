@@ -295,10 +295,17 @@ def test_essential_level_accepts_integer_types():
 
 def test_table_refuses_indices_outside_its_range():
     t = totient_sieve(10)
-    assert (t[0], t[1], t[10]) == (0, 1, 4)
+    assert (t[0], t[1], t[10], t[np.int64(10)]) == (0, 1, 4, 4)
     for i in (-1, -11, 11):
         with pytest.raises(IndexError):
             t[i]
+
+
+@pytest.mark.parametrize("i", [True, 2.0, "2"])
+def test_table_refuses_non_integer_indices(i):
+    t = totient_sieve(10)
+    with pytest.raises(ValidationError, match="phi index"):
+        t[i]
 
 
 def test_sieve_of_every_length_matches_sympy_totient():
