@@ -2,10 +2,21 @@
 
 crossing_pairs first moves the origin to the minimum corner of the
 endpoints. A block-vectorized bounding-box filter selects the candidate
-pairs. In three or more dimensions a coplanarity prefilter drops every
-candidate pair whose four endpoints do not lie in one plane, as those of two
-crossing open segments must. A batched exact classification, the array
-counterpart of the rational one in geom, decides the pairs that are left.
+pairs, and one batched exact classification, the array counterpart of the
+rational one in geom, decides them. For the segments a + t*u and c + s*v,
+t and s in (0, 1), with w = c - a, it is a rank test followed by a
+parameter test:
+
+* the rank test keeps a pair only if its four endpoints lie in one plane,
+  as those of two crossing open segments must: the d x 3 matrix [u, v, w]
+  has rank at most 2, so each of its 3x3 minors, one per axis triple, is 0.
+  In one or two dimensions there is no triple and every pair passes.
+* the parameter test: if u and v are not parallel, some 2x2 minor of
+  (u, v), the pivot, is not 0, and rank 2 means that the supports meet, at
+  the t and s that solve the 2x2 system on the pivot's two axes; the
+  segments cross iff both lie in (0, 1). If u and v are parallel, the
+  supports must be collinear and the open projections on the axis where
+  |u| is largest must overlap.
 
 The same code runs on int64 arrays when the spread of the coordinates (the
 largest max - min over the axes) is at most 2C, C = SAFE_COORD, and on
@@ -14,38 +25,36 @@ that fit int64 go into int64 arrays directly; only the others, and spreads
 past 2C, pass through Python ints. The int64 path is exact because after
 the translation every coordinate lies in [0, 2C], so every entry of
 u = b - a, v = d - c, w = c - a and d - a is at most 2C in magnitude. Then
-every 2x2 minor is at most 8C^2 and every product of a 2x2 minor with an
-entry at most 16C^3 < 2^63: no single product overflows. Sums of two or
-three such products may wrap around, and two checks rely on that being
-harmless:
-
-* the prefilter's det[u, v, w] on axes 0..2, and
-* the consistency check tn*u_k - sn*v_k == det*w_k, whose two sides differ
-  by the 3x3 minor of (u, v, w) on axes (pi, pj, k).
-
-int64 arithmetic is exact modulo 2^64, and a 3x3 determinant with entries of
-magnitude at most 2C is at most 4*(2C)^3 = 32C^3 < 2^64 in magnitude. So
-such a determinant computes as 0 exactly when it is 0.
+every 2x2 minor, the pivot and the numerators of t and s among them, is at
+most 8C^2, and every product of a 2x2 minor with an entry is at most
+16C^3 < 2^63: no single product overflows. The only sums that may wrap
+around are the 3x3 minors of the rank test, and only their comparison with
+0 is used. int64 arithmetic is exact modulo 2^64, and a 3x3 determinant
+with entries of magnitude at most 2C is at most 4*(2C)^3 = 32C^3 < 2^64 in
+magnitude, so a minor computes as 0 exactly when it is 0.
 
 The working set is fixed. Apart from O(m*d) copies of the endpoints, the
 kernel holds one tile and one chunk at a time. A tile of the bounding-box
 filter is at most BLOCK x BLOCK = 2^16 pairs, and the flat index of its
 survivors takes at most 128 KiB. A chunk sends at most BATCH = 2^14 of them
-to the exact classification, which works one axis or one 2x2 minor at a
-time. The coplanarity prefilter keeps about 5 live entries per chunk row.
-The exact test splits the skew and the parallel rows up front and runs
-each branch on its own rows; it keeps about 15 live entries per row at its
-peak, in the skew branch. So for d <= 4 the transient arrays stay under
-4 MB on the int64 path, whatever m is and however many pairs survive; that
-worst case needs nearly every pair of a tile to pass both filters.
+to the exact classification, which works one axis or one minor at a time.
+The rank test keeps about 5 live entries per chunk row, and each later
+minor runs only on the rows whose earlier minors are 0. The parameter test
+splits the skew and the parallel rows up front and runs each branch on its
+own rows; it keeps about 13 live entries per row at its peak, in the skew
+branch. So for d <= 4 the transient arrays stay under 4 MB on the int64
+path, whatever m is and however many pairs survive; that worst case needs
+nearly every pair of a tile to pass the box filter and the rank test.
 tracemalloc peaks of count_pairs are 1.3-1.4 MB on the layered and tiled
 drawings, at most 2.4 MB on graphs of up to 4096 edges in 2-d to 4-d, and
-2.4-3.0 MB on a fan of 2500 segments in one plane, in 2-d to 4-d, whose
+2.4-3.1 MB on a fan of 2500 segments in one plane, in 2-d to 5-d, whose
 boxes nearly all overlap. On the object path the same arrays hold the same
 number of entries, each a Python int.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 import numpy as np
 
@@ -54,31 +63,23 @@ BLOCK = 256  # segments per side of one bounding-box filter tile (<= 2^16 pairs,
 BATCH = 1 << 14  # candidate pairs per exact classification call (about 2 MB at d = 4)
 
 
-def _minor_index_arrays(dim):
-    ii = []
-    jj = []
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            ii.append(i)
-            jj.append(j)
-    return np.array(ii, dtype=np.intp), np.array(jj, dtype=np.intp)
-
-
-def _coplanar(At, Ut, si, sj):
-    # det[u, v, w] == 0 on axes 0..2, as the sum over k of w_k (u x v)_k,
-    # one axis at a time
+def _minor3(At, Ut, si, sj, axes):
+    # the 3x3 minor of (u, v, w) on the three axes, as the sum over the
+    # cyclic shifts (p, q, r) of the axes of w_r (u_p v_q - u_q v_p), one
+    # term at a time
     det = np.zeros(si.size, dtype=At.dtype)
-    for k, i, j in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        c = Ut[i].take(si) * Ut[j].take(sj)
-        t = Ut[j].take(si)
-        t *= Ut[i].take(sj)
+    i, j, k = axes
+    for p, q, r in ((i, j, k), (j, k, i), (k, i, j)):
+        c = Ut[p].take(si) * Ut[q].take(sj)
+        t = Ut[q].take(si)
+        t *= Ut[p].take(sj)
         c -= t
         del t
-        w = At[k].take(sj)
-        w -= At[k].take(si)
+        w = At[r].take(sj)
+        w -= At[r].take(si)
         c *= w
         det += c
-    return det == 0
+    return det
 
 
 def _pivot_minor(Ut, si, sj, mi, mj):
@@ -103,10 +104,11 @@ def _pivot_minor(Ut, si, sj, mi, mj):
 
 
 def _skew_crosses(At, Ut, si, sj, det, pi, pj):
-    # skew directions: the supports meet at a + (tn/det) u = c + (sn/det) v
-    # iff tn*u - sn*v == det*w on every axis, and the open segments cross
-    # iff both parameters lie in (0, 1). This branch sets the kernel's peak,
-    # so every temporary goes as soon as it is spent.
+    # skew directions on rows of rank 2: the supports meet at
+    # a + (tn/det) u = c + (sn/det) v, where tn and sn solve the 2x2 system
+    # on the pivot axes (pi, pj), and the open segments cross iff both
+    # parameters lie in (0, 1). This branch sets the kernel's peak, so every
+    # temporary goes as soon as it is spent.
     wi = At[pi, sj]
     wi -= At[pi, si]
     wj = At[pj, sj]
@@ -122,21 +124,11 @@ def _skew_crosses(At, Ut, si, sj, det, pi, pj):
     t *= wi
     sn -= t
     del wi, pi, pj, t
-    ok = np.ones(si.size, dtype=bool)
-    for k in range(At.shape[0]):
-        lhs = tn * Ut[k].take(si)
-        t = sn * Ut[k].take(sj)
-        lhs -= t
-        del t
-        w = At[k].take(sj)
-        w -= At[k].take(si)
-        w *= det
-        ok &= lhs == w
     neg = det < 0
     np.negative(tn, out=tn, where=neg)
     np.negative(sn, out=sn, where=neg)
     det = abs(det)
-    return ok & (0 < tn) & (tn < det) & (0 < sn) & (sn < det)
+    return (0 < tn) & (tn < det) & (0 < sn) & (sn < det)
 
 
 def _parallel_crosses(At, Ut, si, sj):
@@ -161,36 +153,35 @@ def _parallel_crosses(At, Ut, si, sj):
     return ok & (low < high)
 
 
-def _crosses_batch(At, Ut, si, sj):
-    # exact open-segment crossing test (proper point cross or collinear
-    # overlap) of segment si[k], a + t*u, against segment sj[k], c + s*v,
-    # w = c - a, for each k; skew and parallel rows each take their own branch
-    mi, mj = _minor_index_arrays(At.shape[0])
-    det, piv = _pivot_minor(Ut, si, sj, mi, mj)
-    out = np.zeros(si.size, dtype=bool)
-    par = np.flatnonzero(det == 0)
-    skew = np.flatnonzero(det)
-    det = det[skew]
-    piv = piv[skew]
-    if skew.size:
-        out[skew] = _skew_crosses(At, Ut, si[skew], sj[skew], det, mi[piv], mj[piv])
-    del det, piv, skew  # the parallel branch runs without them
-    if par.size:
-        out[par] = _parallel_crosses(At, Ut, si[par], sj[par])
-    return out
-
-
 def _crossing_rows(At, Ut, si, sj):
-    """Mask of the k for which segment si[k] crosses segment sj[k].
+    """Mask of the k for which segment si[k] (a + t*u) crosses segment
+    sj[k] (c + s*v): a proper point cross or a collinear overlap.
 
     At and Ut are (dim, m) arrays: column e holds the start a and the
     direction b - a of segment e.
     """
-    if At.shape[0] < 3:
-        return _crosses_batch(At, Ut, si, sj)
-    out = np.zeros(si.size, dtype=bool)
-    rows = np.flatnonzero(_coplanar(At, Ut, si, sj))
-    out[rows] = _crosses_batch(At, Ut, si[rows], sj[rows])
+    # the rank test: every 3x3 minor of (u, v, w), w = c - a, is 0, each
+    # taken only on the rows whose earlier minors are all 0
+    out = np.ones(si.size, dtype=bool)
+    rows = slice(None)
+    for axes in combinations(range(At.shape[0]), 3):
+        out[rows] = _minor3(At, Ut, si[rows], sj[rows], axes) == 0
+        rows = np.flatnonzero(out)
+    si, sj = si[rows], sj[rows]
+    # the parameter test on the axis pairs (mi[p], mj[p]), none in one
+    # dimension; skew and parallel rows each take their own branch
+    mi, mj = np.array([*combinations(range(At.shape[0]), 2)], dtype=np.intp).reshape(-1, 2).T
+    det, piv = _pivot_minor(Ut, si, sj, mi, mj)
+    crossed = np.zeros(si.size, dtype=bool)
+    par = np.flatnonzero(det == 0)
+    skew = np.flatnonzero(det)
+    det, piv = det[skew], piv[skew]
+    if skew.size:
+        crossed[skew] = _skew_crosses(At, Ut, si[skew], sj[skew], det, mi[piv], mj[piv])
+    del det, piv, skew  # the parallel branch runs without them
+    if par.size:
+        crossed[par] = _parallel_crosses(At, Ut, si[par], sj[par])
+    out[rows] = crossed
     return out
 
 

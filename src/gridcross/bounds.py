@@ -49,12 +49,18 @@ def lower_bound_midpoint_bucket(g: GridGraph, check_proper: bool = True) -> Boun
     return BoundCertificate("midpoint-bucket", Fraction(value))
 
 
-def lower_bound_midpoint_formula(N: int, m: int, d: int) -> Fraction:
-    """max(0, (m^2 / ((2^d - 1) N) - m) / 2): a floor for any graph with
-    volume <= N and m edges."""
+def _closed_form_args(N, m, d):
+    """(N, m, d) as ints; ValidationError unless N >= 1, d >= 1, m >= 0."""
     N, m, d = as_integer(N, "N"), as_integer(m, "m"), as_integer(d, "d")
     if N < 1 or d < 1 or m < 0:
         raise ValidationError(f"need N >= 1, d >= 1, m >= 0; got N={N}, d={d}, m={m}")
+    return N, m, d
+
+
+def lower_bound_midpoint_formula(N: int, m: int, d: int) -> Fraction:
+    """max(0, (m^2 / ((2^d - 1) N) - m) / 2): a floor for any graph with
+    volume <= N and m edges."""
+    N, m, d = _closed_form_args(N, m, d)
     value = (Fraction(m * m, (2 ** d - 1) * N) - m) / 2
     return value if value > 0 else Fraction(0)
 
@@ -123,9 +129,7 @@ def lower_bound_essential_pgrid(g: GridGraph, p_max: int | None = None,
 def lower_bound_greedy_removal(N: int, m: int, d: int) -> int:
     """max(0, m - (2^d - 1) N): every edge beyond the crossing-free maximum
     forces at least one crossing."""
-    N, m, d = as_integer(N, "N"), as_integer(m, "m"), as_integer(d, "d")
-    if N < 1 or d < 1 or m < 0:
-        raise ValidationError(f"need N >= 1, d >= 1, m >= 0; got N={N}, d={d}, m={m}")
+    N, m, d = _closed_form_args(N, m, d)
     return max(0, m - (2 ** d - 1) * N)
 
 

@@ -36,10 +36,7 @@ def layered_complete_bipartite(k: int, d: int) -> GridGraph:
     k, d = as_integer(k, "k"), as_integer(d, "d")
     if k < 1 or d < 2:
         raise ValidationError(f"need k >= 1 and d >= 2, got k={k}, d={d}")
-    verts = layer_grid_vertices(k, d)
-    half = len(verts) // 2
-    edges = [(i, half + j) for i in range(half) for j in range(half)]
-    return make_grid_graph(d, verts, edges)
+    return _block_drawing(k, k, d)
 
 
 def tile_bipartite(k: int, side: int, d: int) -> GridGraph:
@@ -56,16 +53,19 @@ def tile_bipartite(k: int, side: int, d: int) -> GridGraph:
         raise ValidationError(f"need k >= 1 and side >= 1, got k={k}, side={side}")
     if side % k != 0:
         raise ValidationError(f"block side {k} does not divide {side}")
+    return _block_drawing(k, side, d)
+
+
+def _block_drawing(k: int, side: int, d: int) -> GridGraph:
+    # the side^(d-1) x 2 box cut into k-blocks (k divides side), each with
+    # its own complete bipartite drawing between its two layers
     verts = layer_grid_vertices(side, d)
     index = {v: i for i, v in enumerate(verts)}
-    edges = []
-    blocks = product(range(side // k), repeat=d - 1)
     locals_ = list(product(range(1, k + 1), repeat=d - 1))
-    for off in blocks:
+    edges = []
+    for off in product(range(side // k), repeat=d - 1):
         shifted = [tuple(o * k + x for o, x in zip(off, xs)) for xs in locals_]
-        for u in shifted:
-            for w in shifted:
-                edges.append((index[u + (1,)], index[w + (2,)]))
+        edges.extend((index[u + (1,)], index[w + (2,)]) for u in shifted for w in shifted)
     return make_grid_graph(d, verts, edges)
 
 

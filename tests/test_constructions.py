@@ -34,8 +34,13 @@ def test_tile_bipartite_crossings_scale_with_block_count():
     t = tile_bipartite(2, 4, 3)
     assert (len(t.vertices), len(t.edges)) == (32, 64)
     assert count_crossings_pruned(t).total == 4 * 10
-    # k == side degenerates to the plain bipartite drawing
-    assert tile_bipartite(3, 3, 3) == layered_complete_bipartite(3, 3)
+    # k == side degenerates to the plain bipartite drawing, every bottom
+    # point joined to every top point
+    for k, d in ((3, 3), (2, 4)):
+        g = layered_complete_bipartite(k, d)
+        assert tile_bipartite(k, k, d) == g
+        half = k ** (d - 1)
+        assert g.edges == tuple((i, half + j) for i in range(half) for j in range(half))
     # k == 1: vertical unit edges only, crossing-free
     ones = tile_bipartite(1, 3, 3)
     assert len(ones.edges) == 9

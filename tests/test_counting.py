@@ -211,8 +211,8 @@ def test_pruned_huge_coordinates_fall_back_to_exact_path():
 
 def _kernel_agrees_with_geom(pairs, offset=0, dtype=np.int64):
     # segment k (a -> b) against segment n + k (c -> d), through the same
-    # coplanarity prefilter and exact test that crossing_pairs runs, on
-    # arrays of `dtype` with every point shifted by `offset`
+    # rank test and parameter test that crossing_pairs runs, on arrays of
+    # `dtype` with every point shifted by `offset`
     a, b, c, d = (np.array(col, dtype=dtype) for col in zip(*pairs))
     At = np.concatenate([a, c]).T + offset
     Ut = np.concatenate([b - a, d - c]).T
@@ -257,8 +257,8 @@ def test_kernel_matches_geom_on_envelope_sample():
 
 
 def test_kernel_matches_geom_on_4d_envelope_sample():
-    # The prefilter looks only at axes 0..2, so a quarter of the sample is
-    # drawn coplanar on those axes; there the fourth axis alone decides.
+    # A quarter of the sample is drawn with a zero 3x3 minor on axes 0..2,
+    # so that the rank test's triples through the fourth axis decide.
     rng = random.Random(2025)
     values = (-C, -(C - 1), 0, C - 1, C)
     flat, free = [], []
@@ -277,6 +277,23 @@ def test_kernel_matches_geom_on_4d_envelope_sample():
     crossing = sum(segments_cross(pair[:2], pair[2:]).is_crossing for pair in pairs)
     assert skew > 4000 and crossing >= 10
     assert _kernel_agrees_with_geom(pairs) == []
+
+
+def test_kernel_decides_4d_pairs_parallel_on_the_first_three_axes():
+    # u and v are parallel on axes 0..2, so every 2x2 minor there and the
+    # 3x3 minor on axes 0..2 are 0: the pivot is (0, 3), and only the rank
+    # test's triple (0, 1, 3) tells the skew pair from the crossing one.
+    # On the pivot axes both pairs meet at t = s = 1/2.
+    crossing = ((0, 0, 0, 0), (2, 0, 0, 2), (0, 0, 0, 2), (2, 0, 0, 0))
+    skew = ((0, 0, 0, 0), (2, 0, 0, 2), (0, 1, 0, 2), (2, 1, 0, 0))
+    for pair in (crossing, skew):
+        u, v, w = _uvw(*pair)
+        assert u[:3] == v[:3] and _det3(u, v, w, (0, 1, 2)) == 0
+    assert [_det3(*_uvw(*skew), axes) for axes in combinations(range(4), 3)] == [0, 8, 0, 0]
+    assert segments_cross(crossing[:2], crossing[2:]).kind is CrossKind.POINT_CROSS
+    assert not segments_cross(skew[:2], skew[2:]).is_crossing
+    assert _kernel_agrees_with_geom([crossing, skew]) == []
+    assert _kernel_agrees_with_geom([crossing, skew], offset=2 ** 64, dtype=object) == []
 
 
 def test_crossing_pair_with_int64_overflowing_determinant_terms_is_counted():
@@ -336,7 +353,7 @@ def _proper_graphs(draw):
     # 4 to 12 points of a small box and up to 30 edges among them; edges
     # through a vertex are dropped, so non-primitive edges that stay can
     # still overlap collinearly
-    dim = draw(st.integers(2, 4))
+    dim = draw(st.integers(2, 5))
     n = draw(st.integers(4, 12))
     side = 4 if dim == 2 else 3
     pts = draw(st.lists(st.tuples(*[st.integers(0, side - 1)] * dim), min_size=n, max_size=n,
@@ -350,10 +367,11 @@ def _proper_graphs(draw):
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_pruned_matches_naive_under_lattice_symmetries(data):
-    # translations, an axis permutation (in 4-d it moves the fourth axis into
-    # the prefilter's axes 0..2), reflections and scalings keep every crossing
-    # and every edge index. The kernel undoes a translation, so only the
-    # scaling by 2C + 1 moves the spread out of int64, onto Python ints.
+    # translations, an axis permutation (it changes which 3x3 minor of the
+    # rank test and which 2x2 pivot decide), reflections and scalings keep
+    # every crossing and every edge index. The kernel undoes a translation,
+    # so only the scaling by 2C + 1 moves the spread out of int64, onto
+    # Python ints.
     g = data.draw(_proper_graphs())
     dim = g.dim
     perm = data.draw(st.permutations(range(dim)))
