@@ -37,16 +37,19 @@ class BoundCertificate:
     incidence: tuple | None = None  # ((p, total |Q^p| over edges), ...) for essential-pgrid
 
 
+def _bucket_pairs(buckets: Counter) -> int:
+    """Sum of C(R, 2) over the bucket sizes R: the pairs sharing a bucket."""
+    return sum(comb(r, 2) for r in buckets.values())
+
+
 def lower_bound_midpoint_bucket(g: GridGraph, check_proper: bool = True) -> BoundCertificate:
     """Sum C(R, 2) over groups of edges with a common midpoint."""
     if check_proper:
         require_proper(g)
-    buckets = Counter()
-    for i, j in g.edges:
-        u, w = g.vertices[i], g.vertices[j]
-        buckets[tuple(a + b for a, b in zip(u, w))] += 1  # doubled midpoint stays integral
-    value = sum(comb(r, 2) for r in buckets.values())
-    return BoundCertificate("midpoint-bucket", Fraction(value))
+    v = g.vertices
+    buckets = Counter(tuple(a + b for a, b in zip(v[i], v[j]))  # doubled midpoint stays integral
+                      for i, j in g.edges)
+    return BoundCertificate("midpoint-bucket", Fraction(_bucket_pairs(buckets)))
 
 
 def _closed_form_args(N, m, d):
@@ -93,15 +96,9 @@ def _essential_pgrid(segs, p_max: int) -> BoundCertificate:
     value = 0
     incidence = []
     for p in range(1, p_max + 1):
-        buckets = Counter()
-        mass = 0
-        for seg in segs:
-            _, q = edge_pgrid_points(seg, p)
-            mass += len(q)
-            for pt in q:
-                buckets[pt] += 1
-        value += sum(comb(r, 2) for r in buckets.values())
-        incidence.append((p, mass))
+        buckets = Counter(pt for seg in segs for pt in edge_pgrid_points(seg, p)[1])
+        value += _bucket_pairs(buckets)
+        incidence.append((p, sum(buckets.values())))
     return BoundCertificate("essential-pgrid", Fraction(value), p_max, tuple(incidence))
 
 

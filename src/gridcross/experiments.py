@@ -59,6 +59,9 @@ def run_experiment(config: ExperimentConfig, timings: bool = False) -> list:
 def _run_growth3d(config):
     if not config.k_values or min(config.k_values) < 2:
         raise ValidationError("growth3d needs k values >= 2")
+    if config.dim != 3:
+        raise ValidationError(f"growth3d is the 3-d sweep, got dim {config.dim}; "
+                              "use growth_hd for dim >= 4")
     for k in config.k_values:
         g = layered_complete_bipartite(k, 3)
         rep = count_crossings_pruned(g, check_proper=False)

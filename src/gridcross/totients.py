@@ -20,7 +20,7 @@ denominator grows like lcm(1..n)^3 (about 43k bits at n = 10^4), so reducing
 it at every step dominates a scan. `partial_sums` still does, because it
 yields every row; `totient_sums` sums by binary splitting over a common
 denominator and reduces once (`_s3_exact`: leaves of _S3_LEAF terms, one gcd
-per merge, the terms grouped by their prime factor above sqrt(n));
+per merge, the terms in a stable sort by their prime factor above sqrt(n));
 `verify_totient_inequalities` keeps integer bounds on s3 * 2^_S3_BITS,
 compares them with the float threshold times 2^_S3_BITS (Python compares an
 int with a float exactly), and calls `_s3_exact` only where those bounds
@@ -186,32 +186,26 @@ def _s3_split(phi, order, a: int, b: int):
 
 
 def _s3_order(n: int):
-    """1..n, the i without a prime factor above isqrt(n) first and ascending,
-    then P, 2P, ..., (n // P) P for each larger prime P ascending."""
+    """1..n stably sorted by the prime factor above isqrt(n), 0 for the i
+    without one: those i first and ascending, then P, 2P, ..., (n // P) P
+    for each larger prime P ascending."""
     import numpy as np
     _, large = _primes(n)
-    order = np.empty(n, dtype=np.int64)
-    counts = n // large
-    starts = n - counts.sum() + np.cumsum(counts) - counts  # of each P's group
-    placed = np.zeros(n + 1, dtype=bool)
-    placed[0] = True  # not a term
+    key = np.zeros(n + 1, dtype=np.int64)
     for k, ps in _large_prime_multiples(n, large):
-        multiples = ps * k
-        order[starts[:len(ps)] + (k - 1)] = multiples
-        placed[multiples] = True
-    smooth = np.flatnonzero(~placed)
-    order[:len(smooth)] = smooth
-    return order
+        key[ps * k] = ps
+    return np.argsort(key, kind="stable")[1:]  # i = 0 has key 0, so it sorts first
 
 
 def _s3_exact(n: int, phi) -> Fraction:
     """s3(n) by binary splitting over a common denominator, reduced once.
 
-    The terms go in `_s3_order`: a node's lcm is then about the product of
-    its own large primes times a small smooth part, and the lcms of one tree
-    level add up to about lcm(1..n). In plain order every range [a, b) with
-    a <= b/2 has lcm(1..b), and a level of short ranges, whose lcm is near
-    their product, carries about n log2(n) bits."""
+    The terms go in `_s3_order`, a stable sort by their prime factor above
+    isqrt(n): a node's lcm is then about the product of its own large primes
+    times a small smooth part, and the lcms of one tree level add up to about
+    lcm(1..n). In plain order every range [a, b) with a <= b/2 has
+    lcm(1..b), and a level of short ranges, whose lcm is near their product,
+    carries about n log2(n) bits."""
     order = _s3_order(n)
     num, m = _s3_split(phi, memoryview(order), 0, n)
     return Fraction(num, m ** 3)

@@ -13,7 +13,7 @@ from gridcross.bounds import (
     lower_bound_midpoint_bucket,
     lower_bound_midpoint_formula,
 )
-from gridcross.constructions import layered_complete_bipartite, random_proper_graph
+from gridcross.constructions import layered_complete_bipartite, random_proper_graph, tile_bipartite
 from gridcross.counting import count_crossings_naive
 from gridcross.enumeration import candidate_blocks, grid_points
 from gridcross.errors import ImproperGraphError, ValidationError
@@ -183,3 +183,24 @@ def test_essential_pgrid_at_full_level_is_the_exact_count(g):
     assert lower_bound_essential_pgrid(g, p_max=2 * L * L).value == exact
     _, values = certify(g)
     assert all(v is None or v <= exact for v in values.values())
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(g=_primitive_graphs())
+def test_midpoint_bucket_is_essential_pgrid_at_level_two(g):
+    # a primitive edge carries no level-1 point and one level-2 point, its
+    # midpoint, so both certificates count the pairs of edges sharing a midpoint
+    cert = lower_bound_essential_pgrid(g, p_max=2)
+    assert cert.incidence == ((1, 0), (2, len(g.edges)))
+    assert lower_bound_midpoint_bucket(g).value == cert.value
+
+
+@pytest.mark.parametrize("build, args, value", [
+    (layered_complete_bipartite, (6, 3), 10010),
+    (layered_complete_bipartite, (3, 4), 3065),
+    (tile_bipartite, (4, 8, 3), 3360),
+])
+def test_midpoint_bucket_and_level_two_on_the_benchmark_drawings(build, args, value):
+    g = build(*args)
+    assert lower_bound_midpoint_bucket(g).value == value
+    assert lower_bound_essential_pgrid(g, p_max=2).value == value

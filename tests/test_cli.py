@@ -233,11 +233,14 @@ def test_experiment_certificates_sound():
     assert all(r["pruned_equal"] for r in rows)
 
 
-def test_experiment_validation_errors():
+def test_experiment_validation_errors(capsys):
     code, _ = run_cli(["experiment", "--kind", "growth3d"])
     assert code == 2
     code, _ = run_cli(["experiment", "--kind", "growth_hd", "--k-values", "2", "--dim", "3"])
     assert code == 2
+    capsys.readouterr()
+    code, _ = run_cli(["experiment", "--kind", "growth3d", "--k-values", "2", "--dim", "4"])
+    assert code == 2 and "growth_hd" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

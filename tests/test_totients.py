@@ -122,6 +122,28 @@ def test_totient_sums_examples():
     assert totient_sums(10).s1 == 32
 
 
+def _largest_prime_factors(n):
+    # lpf[i] for 0 <= i <= n; lpf[1] = 1. Each prime p writes its multiples,
+    # and a larger prime writes later.
+    lpf = list(range(n + 1))
+    for p in range(2, n + 1):
+        if lpf[p] == p:
+            for i in range(2 * p, n + 1, p):
+                lpf[i] = p
+    return lpf
+
+
+def test_s3_order_is_a_stable_sort_by_the_large_prime_factor():
+    # every s3 value is the same in any term order, so only this test sees
+    # the grouping that the binary splitting's speed depends on. 1..400
+    # crosses every square up to 20^2, where the primes above isqrt(n) change.
+    lpf = _largest_prime_factors(4097)
+    for n in [*range(1, 401), 4097]:
+        root = math.isqrt(n)
+        want = sorted(range(1, n + 1), key=lambda i: lpf[i] if lpf[i] > root else 0)
+        assert totients._s3_order(n).tolist() == want, n
+
+
 def test_sum_bounds():
     table = totient_sieve(400)
     s1 = 0
