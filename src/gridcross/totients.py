@@ -115,6 +115,11 @@ def edge_pgrid_points(seg, p: int):
     Returns (P, Q): P holds the points at parameters i/p for i = 1..p-1;
     Q is the subsequence with gcd(i, p) = 1. Every member of Q has
     essential_level exactly p, and |Q| = phi(p) for p >= 2.
+
+    Coordinate k of the point at i/p is the one Fraction
+    (p * a_k + i * (b_k - a_k)) / p, equal to a_k + (i/p)(b_k - a_k). Each
+    coordinate is read once as a Python int (operator.index), so numpy
+    integers give the same exact points and no fixed-width product.
     """
     p = as_integer(p, "p")
     if p < 1:
@@ -122,11 +127,12 @@ def edge_pgrid_points(seg, p: int):
     direction, g = gcd_reduce(seg)
     if g != 1:
         raise ValidationError(f"segment {seg[0]}->{seg[1]} is not primitive (gcd {g})")
-    a, b = seg
+    a, b = ([operator.index(x) for x in end] for end in seg)
+    starts = [p * ak for ak in a]
+    steps = [bk - ak for ak, bk in zip(a, b)]
     full, coprime = [], []
     for i in range(1, p):
-        t = Fraction(i, p)
-        pt = tuple(ai + t * (bi - ai) for ai, bi in zip(a, b))
+        pt = tuple(Fraction(s + i * d, p) for s, d in zip(starts, steps))
         full.append(pt)
         if math.gcd(i, p) == 1:
             coprime.append(pt)

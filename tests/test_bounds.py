@@ -195,12 +195,14 @@ def test_midpoint_bucket_is_essential_pgrid_at_level_two(g):
     assert lower_bound_midpoint_bucket(g).value == cert.value
 
 
-@pytest.mark.parametrize("build, args, value", [
-    (layered_complete_bipartite, (6, 3), 10010),
-    (layered_complete_bipartite, (3, 4), 3065),
-    (tile_bipartite, (4, 8, 3), 3360),
+@pytest.mark.parametrize("build, args, value, p4_value, p4_incidence", [
+    (layered_complete_bipartite, (6, 3), 10010, 20238, ((1, 0), (2, 1296), (3, 2592), (4, 2592))),
+    (layered_complete_bipartite, (3, 4), 3065, 4533, ((1, 0), (2, 729), (3, 1458), (4, 1458))),
+    (tile_bipartite, (4, 8, 3), 3360, 6384, ((1, 0), (2, 1024), (3, 2048), (4, 2048))),
 ])
-def test_midpoint_bucket_and_level_two_on_the_benchmark_drawings(build, args, value):
+def test_midpoint_bucket_and_level_two_on_the_benchmark_drawings(build, args, value, p4_value, p4_incidence):
     g = build(*args)
     assert lower_bound_midpoint_bucket(g).value == value
     assert lower_bound_essential_pgrid(g, p_max=2).value == value
+    cert = lower_bound_essential_pgrid(g, p_max=4)
+    assert (cert.value, cert.incidence) == (p4_value, p4_incidence)

@@ -114,6 +114,38 @@ def test_q_size_is_phi_and_levels_exact():
             assert essential_level(pt) == p
 
 
+def test_pgrid_points_match_the_parameter_form():
+    # oracle: the point a + (i/p)(b - a), one Fraction operation at a time
+    rng = random.Random(37)
+    bound = 10 ** 6
+    for _ in range(300):
+        dim = rng.randint(1, 5)
+        a = tuple(rng.randint(-bound, bound) for _ in range(dim))
+        b = tuple(rng.randint(-bound, bound) for _ in range(dim))
+        if a == b:
+            continue
+        g = math.gcd(*(y - x for x, y in zip(a, b)))
+        b = tuple(x + (y - x) // g for x, y in zip(a, b))  # primitive, between a and b
+        p = rng.randint(1, 40)
+        expect = [tuple(x + Fraction(i, p) * (y - x) for x, y in zip(a, b)) for i in range(1, p)]
+        full, q = edge_pgrid_points((a, b), p)
+        assert full == expect
+        assert q == [pt for i, pt in enumerate(expect, 1) if math.gcd(i, p) == 1]
+        assert all(type(x) is Fraction for pt in full for x in pt)
+
+
+def test_pgrid_points_exact_on_numpy_integers():
+    # p * a_k does not fit an int64 here: the coordinates must be read as ints
+    seg = ((2 ** 62, 5), (2 ** 62 + 1, 7))
+    as_int64 = tuple(tuple(np.int64(x) for x in end) for end in seg)
+    with np.errstate(all="raise"):
+        assert edge_pgrid_points(as_int64, 3) == edge_pgrid_points(seg, 3)
+    assert edge_pgrid_points(seg, 3)[1] == [
+        (Fraction(3 * 2 ** 62 + 1, 3), Fraction(17, 3)),
+        (Fraction(3 * 2 ** 62 + 2, 3), Fraction(19, 3)),
+    ]
+
+
 def test_totient_sums_examples():
     s = totient_sums(1)
     assert (s.s1, s.s2, s.s3) == (1, 1, Fraction(1))
