@@ -4,8 +4,8 @@ Three certificate kinds bound crs(G) from below on a concrete graph:
 
 * midpoint-bucket: edges sharing a midpoint pairwise cross there, so summing
   C(R, 2) over midpoint classes never overcounts.
-* essential-pgrid: for primitive edges, the subdivision points at reduced
-  parameter i/p sit at refinement level exactly p, levels partition the
+* essential-pgrid: a primitive edge carries phi(p) points of refinement
+  level exactly p, at the reduced parameters i/p; levels partition the
   candidate crossing points, and every crossing point of two primitive edges
   is such a point on both. Summing C(R, 2) over (level, point) buckets up to
   p_max therefore undercounts crs(G). Primitive edges span a single lattice
@@ -34,7 +34,7 @@ class BoundCertificate:
     kind: str
     value: Fraction
     p_max: int | None = None
-    incidence: tuple | None = None  # ((p, total |Q^p| over edges), ...) for essential-pgrid
+    incidence: tuple | None = None  # ((p, level-p points over all edges), ...) for essential-pgrid
 
 
 def _bucket_pairs(buckets: Counter) -> int:
@@ -84,27 +84,20 @@ def _non_primitive(segs):
     return [seg for seg in segs if gcd_reduce(seg)[1] != 1]
 
 
-def check_p_max(p_max: int) -> None:
-    """Raise ValidationError unless the essential-pgrid level p_max is an
-    integer >= 1 (a bool, float or string is refused)."""
-    if as_integer(p_max, "p_max") < 1:
+def check_p_max(p_max: int) -> int:
+    """p_max as an int; ValidationError unless the essential-pgrid level
+    p_max is an integer >= 1 (a bool, float or string is refused)."""
+    p_max = as_integer(p_max, "p_max")
+    if p_max < 1:
         raise ValidationError(f"p_max must be >= 1, got {p_max}")
-
-
-def _essential_pgrid(segs, p_max: int) -> BoundCertificate:
-    check_p_max(p_max)
-    value = 0
-    incidence = []
-    for p in range(1, p_max + 1):
-        buckets = Counter(pt for seg in segs for pt in edge_pgrid_points(seg, p)[1])
-        value += _bucket_pairs(buckets)
-        incidence.append((p, sum(buckets.values())))
-    return BoundCertificate("essential-pgrid", Fraction(value), p_max, tuple(incidence))
+    return p_max
 
 
 def lower_bound_essential_pgrid(g: GridGraph, p_max: int | None = None,
                                 check_proper: bool = True) -> BoundCertificate:
-    """Bucket subdivision points of all edges by level and position.
+    """Bucket the phi(p) level-p points of every edge by level and position,
+    for p = 1..p_max (default_p_max if None); the incidence records the
+    points bucketed at each level.
 
     Refuses graphs with a non-primitive edge: the level argument needs
     coprime coordinate differences (and primitivity is also what rules out
@@ -120,7 +113,14 @@ def lower_bound_essential_pgrid(g: GridGraph, p_max: int | None = None,
             "reduce edges first if a certificate for the reduced graph is acceptable")
     if p_max is None:
         p_max = default_p_max(len(segs), compute_volume(g)) if g.vertices else 1
-    return _essential_pgrid(segs, p_max)
+    p_max = check_p_max(p_max)
+    value = 0
+    incidence = []
+    for p in range(1, p_max + 1):
+        buckets = Counter(pt for seg in segs for pt in edge_pgrid_points(seg, p))
+        value += _bucket_pairs(buckets)
+        incidence.append((p, sum(buckets.values())))
+    return BoundCertificate("essential-pgrid", Fraction(value), p_max, tuple(incidence))
 
 
 def lower_bound_greedy_removal(N: int, m: int, d: int) -> int:
@@ -142,13 +142,11 @@ def certify(g: GridGraph, p_max: int | None = None):
     require_proper(g)
     volume = compute_volume(g) if g.vertices else 1
     m = len(g.edges)
-    if p_max is None:
-        p_max = default_p_max(m, volume)
-    check_p_max(p_max)
-    segs = g.segments()
+    p_max = check_p_max(default_p_max(m, volume) if p_max is None else p_max)
     return p_max, {
         "midpoint-bucket": lower_bound_midpoint_bucket(g, check_proper=False).value,
-        "essential-pgrid": None if _non_primitive(segs) else _essential_pgrid(segs, p_max).value,
+        "essential-pgrid": None if _non_primitive(g.segments())
+        else lower_bound_essential_pgrid(g, p_max, check_proper=False).value,
         "greedy-removal": lower_bound_greedy_removal(volume, m, g.dim),
         "midpoint-formula": lower_bound_midpoint_formula(volume, m, g.dim),
     }

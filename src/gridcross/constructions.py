@@ -6,8 +6,9 @@ all points of the k x ... x k x 2 box, with every bottom-layer point joined
 to every top-layer point. Edges differ by exactly 1 in the last coordinate,
 so they are primitive and the drawing is proper by construction.
 
-Every size, count and seed argument must pass errors.is_integer: a bool or a
-float is refused with ValidationError, and numpy integers are taken as ints.
+Every size, count and seed argument, and every layer key of
+stack_layer_graphs, must pass errors.is_integer: a bool, float or string is
+refused with ValidationError, and numpy integers are taken as ints.
 """
 
 from __future__ import annotations
@@ -202,6 +203,7 @@ def stack_layer_graphs(per_pair, k: int, d: int) -> GridGraph:
     verts = grid_points((k,) * d)
     index = {v: i for i, v in enumerate(verts)}
     edges = []
+    per_pair = {as_integer(layer, "layer pair"): g for layer, g in per_pair.items()}
     for layer in sorted(per_pair):
         g = per_pair[layer]
         if not (1 <= layer <= k - 1):

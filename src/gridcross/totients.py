@@ -6,6 +6,7 @@ the reduced denominators of its coordinates; level-p points of distinct p
 never coincide. On a primitive segment, the points at parameters i/p with
 gcd(i, p) = 1 are exactly the level-p points the segment carries, and there
 are phi(p) of them for p >= 2 (none for p = 1, since i ranges over 1..p-1).
+`edge_pgrid_points` builds those points and no other.
 
 `totient_sieve` crosses out, on a bool array, the multiples of the primes
 p <= sqrt(n_max) only, which leaves every prime up to n_max, and applies
@@ -110,33 +111,26 @@ def essential_level(point) -> int:
 
 
 def edge_pgrid_points(seg, p: int):
-    """Subdivision points of a primitive segment at denominator p.
+    """The phi(p) level-p points of a primitive segment (none for p = 1).
 
-    Returns (P, Q): P holds the points at parameters i/p for i = 1..p-1;
-    Q is the subsequence with gcd(i, p) = 1. Every member of Q has
-    essential_level exactly p, and |Q| = phi(p) for p >= 2.
-
-    Coordinate k of the point at i/p is the one Fraction
-    (p * a_k + i * (b_k - a_k)) / p, equal to a_k + (i/p)(b_k - a_k). Each
-    coordinate is read once as a Python int (operator.index), so numpy
-    integers give the same exact points and no fixed-width product.
+    These are the points at parameters i/p with gcd(i, p) = 1, in increasing
+    i; each has essential_level exactly p. Coordinate k of the point at i/p
+    is the one Fraction (p * a_k + i * (b_k - a_k)) / p, equal to
+    a_k + (i/p)(b_k - a_k). Each coordinate is read once as a Python int
+    (operator.index), so numpy integers give the same exact points and no
+    fixed-width product.
     """
     p = as_integer(p, "p")
     if p < 1:
         raise ValidationError(f"p must be >= 1, got {p}")
-    direction, g = gcd_reduce(seg)
+    _, g = gcd_reduce(seg)
     if g != 1:
         raise ValidationError(f"segment {seg[0]}->{seg[1]} is not primitive (gcd {g})")
     a, b = ([operator.index(x) for x in end] for end in seg)
     starts = [p * ak for ak in a]
     steps = [bk - ak for ak, bk in zip(a, b)]
-    full, coprime = [], []
-    for i in range(1, p):
-        pt = tuple(Fraction(s + i * d, p) for s, d in zip(starts, steps))
-        full.append(pt)
-        if math.gcd(i, p) == 1:
-            coprime.append(pt)
-    return full, coprime
+    return [tuple(Fraction(s + i * d, p) for s, d in zip(starts, steps))
+            for i in range(1, p) if math.gcd(i, p) == 1]
 
 
 @dataclass(frozen=True)

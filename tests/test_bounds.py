@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,8 +19,9 @@ from gridcross.constructions import layered_complete_bipartite, random_proper_gr
 from gridcross.counting import count_crossings_naive
 from gridcross.enumeration import candidate_blocks, grid_points
 from gridcross.errors import ImproperGraphError, ValidationError
+from gridcross.geom import CrossKind, segments_cross
 from gridcross.graph import make_grid_graph
-from gridcross.totients import totient_sieve
+from gridcross.totients import essential_level, totient_sieve
 
 DIAGONALS = make_grid_graph(2, [(1, 1), (2, 2), (1, 2), (2, 1)], [(0, 1), (2, 3)])
 
@@ -105,6 +108,14 @@ def test_non_integer_p_max_is_refused(p_max):
             call()
 
 
+def test_numpy_p_max_comes_back_as_int():
+    g = layered_complete_bipartite(2, 3)
+    cert = lower_bound_essential_pgrid(g, np.int64(3))
+    assert type(cert.p_max) is int and cert == lower_bound_essential_pgrid(g, 3)
+    p_max, values = certify(g, np.int64(3))
+    assert type(p_max) is int and (p_max, values) == certify(g, 3)
+
+
 def test_default_p_max_follows_cube_root_and_clamps():
     assert default_p_max(16, 8) == 1
     assert default_p_max(27, 1) == 3
@@ -183,6 +194,21 @@ def test_essential_pgrid_at_full_level_is_the_exact_count(g):
     assert lower_bound_essential_pgrid(g, p_max=2 * L * L).value == exact
     _, values = certify(g)
     assert all(v is None or v <= exact for v in values.values())
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(g=_primitive_graphs())
+def test_essential_pgrid_is_the_crossing_count_up_to_each_level(g):
+    # oracle: classify every edge pair and read the level of its crossing
+    # point; distinct primitive edges share at most one point, so each
+    # crossing pair is one pair in one bucket
+    segs = g.segments()
+    levels = [essential_level(r.point) for r in
+              (segments_cross(s, t) for s, t in combinations(segs, 2))
+              if r.kind is CrossKind.POINT_CROSS]
+    for p_max in range(1, 9):
+        expect = sum(1 for level in levels if level <= p_max)
+        assert lower_bound_essential_pgrid(g, p_max).value == expect
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)

@@ -175,6 +175,9 @@ EMPTY_2X2X2 = make_grid_graph(3, layer_grid_vertices(2, 3), [])
     (random_proper_graph, ((3, 3), 2, "1"), "seed must be an integer"),
     (augment_matching_to_spanning_tree, (EMPTY_2X2X2, 2.0, 3), "k must be an integer"),
     (stack_layer_graphs, ({}, 2, True), "d must be an integer"),
+    (stack_layer_graphs, ({True: EMPTY_2X2X2}, 3, 3), "layer pair must be an integer, got True"),
+    (stack_layer_graphs, ({1.0: EMPTY_2X2X2}, 3, 3), "layer pair must be an integer, got 1.0"),
+    (stack_layer_graphs, ({"1": EMPTY_2X2X2}, 3, 3), "layer pair must be an integer, got '1'"),
 ])
 def test_constructions_refuse_non_integer_arguments(build, args, message):
     """A bool, float or string size, count or seed is a ValidationError under
@@ -188,6 +191,8 @@ def test_constructions_take_numpy_integers_as_ints():
     assert tile_bipartite(np.int64(1), np.int64(2), 3) == tile_bipartite(1, 2, 3)
     assert analytic_skip_bound(np.int32(2), 3) == 24
     assert random_proper_graph((3, 3), np.int64(4), np.int64(7)) == random_proper_graph((3, 3), 4, 7)
+    g = layered_complete_bipartite(2, 3)
+    assert stack_layer_graphs({np.int64(1): g}, 3, 3) == stack_layer_graphs({1: g}, 3, 3)
 
 
 def _matching_graph(k, d, pairs):

@@ -70,7 +70,7 @@ def test_essential_level_matches_minimal_denominator_oracle():
 
 
 def test_edge_pgrid_points_example():
-    _, q = edge_pgrid_points(((1, 1, 1), (2, 3, 4)), 6)
+    q = edge_pgrid_points(((1, 1, 1), (2, 3, 4)), 6)
     assert q == [
         (Fraction(7, 6), Fraction(4, 3), Fraction(3, 2)),
         (Fraction(11, 6), Fraction(8, 3), Fraction(7, 2)),
@@ -79,10 +79,8 @@ def test_edge_pgrid_points_example():
 
 
 def test_edge_pgrid_points_small_p():
-    full, q = edge_pgrid_points(((0, 0), (1, 2)), 1)
-    assert full == [] and q == []
-    _, q = edge_pgrid_points(((0, 0), (1, 2)), 2)
-    assert q == [(Fraction(1, 2), 1)]
+    assert edge_pgrid_points(((0, 0), (1, 2)), 1) == []
+    assert edge_pgrid_points(((0, 0), (1, 2)), 2) == [(Fraction(1, 2), 1)]
 
 
 def test_edge_pgrid_points_rejects_non_primitive():
@@ -108,14 +106,15 @@ def test_q_size_is_phi_and_levels_exact():
             continue
         checked += 1
         p = rng.randint(2, 50)
-        _, q = edge_pgrid_points((a, b), p)
+        q = edge_pgrid_points((a, b), p)
         assert len(q) == t[p]
         for pt in q:
             assert essential_level(pt) == p
 
 
 def test_pgrid_points_match_the_parameter_form():
-    # oracle: the point a + (i/p)(b - a), one Fraction operation at a time
+    # oracle: the point a + (i/p)(b - a) for each i coprime to p, one
+    # Fraction operation at a time
     rng = random.Random(37)
     bound = 10 ** 6
     for _ in range(300):
@@ -127,11 +126,11 @@ def test_pgrid_points_match_the_parameter_form():
         g = math.gcd(*(y - x for x, y in zip(a, b)))
         b = tuple(x + (y - x) // g for x, y in zip(a, b))  # primitive, between a and b
         p = rng.randint(1, 40)
-        expect = [tuple(x + Fraction(i, p) * (y - x) for x, y in zip(a, b)) for i in range(1, p)]
-        full, q = edge_pgrid_points((a, b), p)
-        assert full == expect
-        assert q == [pt for i, pt in enumerate(expect, 1) if math.gcd(i, p) == 1]
-        assert all(type(x) is Fraction for pt in full for x in pt)
+        expect = [tuple(x + Fraction(i, p) * (y - x) for x, y in zip(a, b))
+                  for i in range(1, p) if math.gcd(i, p) == 1]
+        q = edge_pgrid_points((a, b), p)
+        assert q == expect
+        assert all(type(x) is Fraction for pt in q for x in pt)
 
 
 def test_pgrid_points_exact_on_numpy_integers():
@@ -140,7 +139,7 @@ def test_pgrid_points_exact_on_numpy_integers():
     as_int64 = tuple(tuple(np.int64(x) for x in end) for end in seg)
     with np.errstate(all="raise"):
         assert edge_pgrid_points(as_int64, 3) == edge_pgrid_points(seg, 3)
-    assert edge_pgrid_points(seg, 3)[1] == [
+    assert edge_pgrid_points(seg, 3) == [
         (Fraction(3 * 2 ** 62 + 1, 3), Fraction(17, 3)),
         (Fraction(3 * 2 ** 62 + 2, 3), Fraction(19, 3)),
     ]
