@@ -3,7 +3,7 @@
 Three certificate kinds bound crs(G) from below on a concrete graph:
 
 * midpoint-bucket: edges sharing a midpoint pairwise cross there, so summing
-  C(R, 2) over midpoint classes never overcounts.
+  C(R, 2) over midpoint classes, the level-2 buckets below, never overcounts.
 * essential-pgrid: a primitive edge carries phi(p) points of refinement
   level exactly p, at the reduced parameters i/p; levels partition the
   candidate crossing points, and every crossing point of two primitive edges
@@ -26,7 +26,7 @@ from math import comb
 from .errors import ValidationError, as_integer
 from .geom import gcd_reduce
 from .graph import GridGraph, compute_volume, require_proper
-from .totients import edge_pgrid_points
+from .totients import pgrid_numerators
 
 
 @dataclass(frozen=True)
@@ -37,19 +37,18 @@ class BoundCertificate:
     incidence: tuple | None = None  # ((p, level-p points over all edges), ...) for essential-pgrid
 
 
-def _bucket_pairs(buckets: Counter) -> int:
-    """Sum of C(R, 2) over the bucket sizes R: the pairs sharing a bucket."""
-    return sum(comb(r, 2) for r in buckets.values())
+def _level(segs, p: int):
+    """(pairs, points) at level p: the segments' points n/p from pgrid_numerators,
+    bucketed by n (exact within a level); pairs sums C(R, 2) over bucket sizes R."""
+    buckets = Counter(n for seg in segs for n in pgrid_numerators(seg, p))
+    return sum(comb(r, 2) for r in buckets.values()), sum(buckets.values())
 
 
 def lower_bound_midpoint_bucket(g: GridGraph, check_proper: bool = True) -> BoundCertificate:
-    """Sum C(R, 2) over groups of edges with a common midpoint."""
+    """Sum C(R, 2) over edges sharing a midpoint: the level-2 buckets, keyed by a + b."""
     if check_proper:
         require_proper(g)
-    v = g.vertices
-    buckets = Counter(tuple(a + b for a, b in zip(v[i], v[j]))  # doubled midpoint stays integral
-                      for i, j in g.edges)
-    return BoundCertificate("midpoint-bucket", Fraction(_bucket_pairs(buckets)))
+    return BoundCertificate("midpoint-bucket", Fraction(_level(g.segments(), 2)[0]))
 
 
 def _closed_form_args(N, m, d):
@@ -93,6 +92,12 @@ def check_p_max(p_max: int) -> int:
     return p_max
 
 
+def _essential_pgrid(segs, p_max: int) -> BoundCertificate:
+    """The certificate from levels 1..p_max of primitive segments."""
+    pairs, points = zip(*(_level(segs, p) for p in range(1, p_max + 1)))
+    return BoundCertificate("essential-pgrid", Fraction(sum(pairs)), p_max, tuple(enumerate(points, 1)))
+
+
 def lower_bound_essential_pgrid(g: GridGraph, p_max: int | None = None,
                                 check_proper: bool = True) -> BoundCertificate:
     """Bucket the phi(p) level-p points of every edge by level and position,
@@ -113,14 +118,7 @@ def lower_bound_essential_pgrid(g: GridGraph, p_max: int | None = None,
             "reduce edges first if a certificate for the reduced graph is acceptable")
     if p_max is None:
         p_max = default_p_max(len(segs), compute_volume(g)) if g.vertices else 1
-    p_max = check_p_max(p_max)
-    value = 0
-    incidence = []
-    for p in range(1, p_max + 1):
-        buckets = Counter(pt for seg in segs for pt in edge_pgrid_points(seg, p))
-        value += _bucket_pairs(buckets)
-        incidence.append((p, sum(buckets.values())))
-    return BoundCertificate("essential-pgrid", Fraction(value), p_max, tuple(incidence))
+    return _essential_pgrid(segs, check_p_max(p_max))
 
 
 def lower_bound_greedy_removal(N: int, m: int, d: int) -> int:
@@ -143,10 +141,10 @@ def certify(g: GridGraph, p_max: int | None = None):
     volume = compute_volume(g) if g.vertices else 1
     m = len(g.edges)
     p_max = check_p_max(default_p_max(m, volume) if p_max is None else p_max)
+    segs = g.segments()
     return p_max, {
         "midpoint-bucket": lower_bound_midpoint_bucket(g, check_proper=False).value,
-        "essential-pgrid": None if _non_primitive(g.segments())
-        else lower_bound_essential_pgrid(g, p_max, check_proper=False).value,
+        "essential-pgrid": None if _non_primitive(segs) else _essential_pgrid(segs, p_max).value,
         "greedy-removal": lower_bound_greedy_removal(volume, m, g.dim),
         "midpoint-formula": lower_bound_midpoint_formula(volume, m, g.dim),
     }

@@ -6,7 +6,8 @@ the reduced denominators of its coordinates; level-p points of distinct p
 never coincide. On a primitive segment, the points at parameters i/p with
 gcd(i, p) = 1 are exactly the level-p points the segment carries, and there
 are phi(p) of them for p >= 2 (none for p = 1, since i ranges over 1..p-1).
-`edge_pgrid_points` builds those points and no other.
+`pgrid_numerators` gives them as integer tuples n, the point being n/p,
+which `bounds` buckets; `edge_pgrid_points` gives them as Fractions.
 
 `totient_sieve` crosses out, on a bool array, the multiples of the primes
 p <= sqrt(n_max) only, which leaves every prime up to n_max, and applies
@@ -29,7 +30,7 @@ leave a decision open. Each decision is settled by exact comparisons, so the
 three agree exactly.
 
 numpy is imported by the sieve on its first call, not with the module, so
-essential_level and edge_pgrid_points, which bounds uses, never load it.
+essential_level, pgrid_numerators and edge_pgrid_points never load it.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ValidationError, as_integer, is_integer
-from .geom import gcd_reduce
+from .geom import check_segment, gcd_reduce
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,27 +111,28 @@ def essential_level(point) -> int:
     return level
 
 
-def edge_pgrid_points(seg, p: int):
-    """The phi(p) level-p points of a primitive segment (none for p = 1).
-
-    These are the points at parameters i/p with gcd(i, p) = 1, in increasing
-    i; each has essential_level exactly p. Coordinate k of the point at i/p
-    is the one Fraction (p * a_k + i * (b_k - a_k)) / p, equal to
-    a_k + (i/p)(b_k - a_k). Each coordinate is read once as a Python int
-    (operator.index), so numpy integers give the same exact points and no
-    fixed-width product.
-    """
+def pgrid_numerators(seg, p: int):
+    """The points n/p of segment a->b at parameters i/p, gcd(i, p) = 1, in increasing
+    i, as integer tuples n_k = p * a_k + i * (b_k - a_k); primitivity is not checked.
+    Coordinates are read as Python ints, so numpy integers give exact numerators."""
     p = as_integer(p, "p")
     if p < 1:
         raise ValidationError(f"p must be >= 1, got {p}")
+    check_segment(seg)
+    a, b = ([operator.index(x) for x in end] for end in seg)
+    line = [(p * ak, bk - ak) for ak, bk in zip(a, b)]  # (start, step) per coordinate
+    return [tuple(s + i * d for s, d in line) for i in range(1, p) if math.gcd(i, p) == 1]
+
+
+def edge_pgrid_points(seg, p: int):
+    """The phi(p) level-p points of a primitive segment (none for p = 1): the
+    points n/p of `pgrid_numerators` as Fractions, of essential_level p."""
+    p = as_integer(p, "p")
+    numerators = pgrid_numerators(seg, p)
     _, g = gcd_reduce(seg)
     if g != 1:
         raise ValidationError(f"segment {seg[0]}->{seg[1]} is not primitive (gcd {g})")
-    a, b = ([operator.index(x) for x in end] for end in seg)
-    starts = [p * ak for ak in a]
-    steps = [bk - ak for ak, bk in zip(a, b)]
-    return [tuple(Fraction(s + i * d, p) for s, d in zip(starts, steps))
-            for i in range(1, p) if math.gcd(i, p) == 1]
+    return [tuple(Fraction(x, p) for x in n) for n in numerators]
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from gridcross.counting import count_crossings_naive
 from gridcross.enumeration import candidate_blocks, grid_points
 from gridcross.errors import ImproperGraphError, ValidationError
 from gridcross.geom import CrossKind, segments_cross
-from gridcross.graph import make_grid_graph
+from gridcross.graph import make_grid_graph, validate_proper
 from gridcross.totients import essential_level, totient_sieve
 
 DIAGONALS = make_grid_graph(2, [(1, 1), (2, 2), (1, 2), (2, 1)], [(0, 1), (2, 3)])
@@ -45,6 +45,15 @@ def test_essential_pgrid_examples():
     assert cert.incidence == ((1, 0), (2, 16), (3, 32))
     assert lower_bound_essential_pgrid(DIAGONALS, 2).value == 1
     assert lower_bound_essential_pgrid(DIAGONALS, 1).value == 0
+
+
+@pytest.mark.parametrize("p", range(2, 9))
+def test_essential_pgrid_counts_a_crossing_from_its_level_on(p):
+    # (0,0)->(p,1) and (1,0)->(1,1) cross at (1, 1/p), a point of level p
+    g = make_grid_graph(2, [(0, 0), (p, 1), (1, 0), (1, 1)], [(0, 1), (2, 3)])
+    assert essential_level(segments_cross(*g.segments()).point) == p
+    assert lower_bound_essential_pgrid(g, p - 1).value == 0
+    assert lower_bound_essential_pgrid(g, p).value == 1
 
 
 def test_essential_pgrid_refuses_non_primitive_edges():
@@ -219,6 +228,29 @@ def test_midpoint_bucket_is_essential_pgrid_at_level_two(g):
     cert = lower_bound_essential_pgrid(g, p_max=2)
     assert cert.incidence == ((1, 0), (2, len(g.edges)))
     assert lower_bound_midpoint_bucket(g).value == cert.value
+
+
+@st.composite
+def _proper_graphs(draw):
+    # every pair of 2 to 16 vertices drawn on a grid with sides 5 in 1-d to
+    # 3-d, less the pairs with a vertex between them: the long edges that
+    # stay are non-primitive, and about a third of the drawings put one of
+    # them in a midpoint bucket of two or more edges
+    dim = draw(st.integers(1, 3))
+    n = draw(st.integers(2, min(16, 5 ** dim)))
+    verts = draw(st.lists(st.tuples(*[st.integers(0, 4)] * dim), min_size=n, max_size=n, unique=True))
+    g = make_grid_graph(dim, verts, list(combinations(range(n), 2)))
+    improper = {edge for edge, _ in validate_proper(g)}
+    return make_grid_graph(dim, verts, [e for e in g.edges if e not in improper])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(g=_proper_graphs())
+def test_midpoint_bucket_counts_pairs_with_equal_endpoint_sums(g):
+    # oracle: every pair of edges, compared by the doubled midpoint a + b
+    sums = [tuple(x + y for x, y in zip(a, b)) for a, b in g.segments()]
+    expect = sum(1 for s, t in combinations(sums, 2) if s == t)
+    assert lower_bound_midpoint_bucket(g).value == expect
 
 
 @pytest.mark.parametrize("build, args, value, p4_value, p4_incidence", [

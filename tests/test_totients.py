@@ -17,6 +17,7 @@ from gridcross.totients import (
     edge_pgrid_points,
     essential_level,
     partial_sums,
+    pgrid_numerators,
     totient_sieve,
     totient_sums,
     verify_totient_inequalities,
@@ -86,6 +87,9 @@ def test_edge_pgrid_points_small_p():
 def test_edge_pgrid_points_rejects_non_primitive():
     with pytest.raises(ValidationError, match="not primitive"):
         edge_pgrid_points(((0, 0), (2, 4)), 3)
+    # the numerators do not need primitivity: the midpoint (1, 2) is n/2
+    assert pgrid_numerators(((0, 0), (2, 4)), 2) == [(2, 4)]
+    assert pgrid_numerators(((0, 0), (2, 4)), 3) == [(2, 4), (4, 8)]
 
 
 def test_q_size_is_phi_and_levels_exact():
@@ -131,6 +135,9 @@ def test_pgrid_points_match_the_parameter_form():
         q = edge_pgrid_points((a, b), p)
         assert q == expect
         assert all(type(x) is Fraction for pt in q for x in pt)
+        n = pgrid_numerators((a, b), p)
+        assert [tuple(Fraction(x, p) for x in pt) for pt in n] == expect
+        assert all(type(x) is int for pt in n for x in pt)
 
 
 def test_pgrid_points_exact_on_numpy_integers():
@@ -139,10 +146,13 @@ def test_pgrid_points_exact_on_numpy_integers():
     as_int64 = tuple(tuple(np.int64(x) for x in end) for end in seg)
     with np.errstate(all="raise"):
         assert edge_pgrid_points(as_int64, 3) == edge_pgrid_points(seg, 3)
+        numerators = pgrid_numerators(as_int64, 3)
     assert edge_pgrid_points(seg, 3) == [
         (Fraction(3 * 2 ** 62 + 1, 3), Fraction(17, 3)),
         (Fraction(3 * 2 ** 62 + 2, 3), Fraction(19, 3)),
     ]
+    assert numerators == pgrid_numerators(seg, 3) == [(3 * 2 ** 62 + 1, 17), (3 * 2 ** 62 + 2, 19)]
+    assert all(type(x) is int for pt in numerators for x in pt)
 
 
 def test_totient_sums_examples():
@@ -309,9 +319,23 @@ def test_totient_arguments_must_be_integers(bad):
                  lambda: list(partial_sums(bad)),
                  lambda: verify_totient_inequalities(bad),
                  lambda: verify_totient_inequalities(30, window_start=bad),
-                 lambda: edge_pgrid_points(((0, 0), (1, 2)), bad)):
+                 lambda: edge_pgrid_points(((0, 0), (1, 2)), bad),
+                 lambda: pgrid_numerators(((0, 0), (1, 2)), bad)):
         with pytest.raises(ValidationError, match="must be an integer"):
             call()
+
+
+@pytest.mark.parametrize("seg, p, message", [
+    (((0, 0), (1, 2)), 0, "p must be >= 1"),
+    (((0, 0), (1, 2)), -3, "p must be >= 1"),
+    (((1, 2), (1, 2)), 3, "degenerate segment"),
+    (((0, 0), (1, 2, 3)), 3, "differ in dimension"),
+    (((), ()), 3, "zero-dimensional"),
+], ids=["p-0", "p-negative", "degenerate", "mixed-dimension", "zero-dimension"])
+def test_pgrid_builders_refuse_bad_levels_and_segments(seg, p, message):
+    for build in (pgrid_numerators, edge_pgrid_points):
+        with pytest.raises(ValidationError, match=message):
+            build(seg, p)
 
 
 @pytest.mark.parametrize("log_c", [True, False, "0.05", None, Decimal("0.05"), 1j])
