@@ -1,11 +1,15 @@
 """The one pairwise segment-crossing kernel, exact at any coordinate size.
 
 crossing_pairs first moves the origin to the minimum corner of the
-endpoints. A block-vectorized bounding-box filter selects the candidate
-pairs, and one batched exact classification, the array counterpart of the
-rational one in geom, decides them. For the segments a + t*u and c + s*v,
-t and s in (0, 1), with w = c - a, it is a rank test followed by a
-parameter test:
+endpoints. A block-vectorized filter selects the candidate pairs, and one
+batched exact classification, the array counterpart of the rational one in
+geom, decides them. The filter keeps the pairs whose bounding boxes meet
+and, in three or more dimensions, whose 3x3 minor on axes 0..2 (below) is
+0, by one integer matmul per tile: L @ R = -det[u, v, w] there for the
+Pluecker coordinates L = (u, a x u) and R = (c x v, v). The exact
+classification still computes every minor. For the segments a + t*u and
+c + s*v, t and s in (0, 1), with w = c - a, it is a rank test followed by
+a parameter test:
 
 * the rank test keeps a pair only if its four endpoints lie in one plane,
   as those of two crossing open segments must: the d x 3 matrix [u, v, w]
@@ -31,23 +35,27 @@ most 8C^2, and every product of a 2x2 minor with an entry is at most
 around are the 3x3 minors of the rank test, and only their comparison with
 0 is used. int64 arithmetic is exact modulo 2^64, and a 3x3 determinant
 with entries of magnitude at most 2C is at most 4*(2C)^3 = 32C^3 < 2^64 in
-magnitude, so a minor computes as 0 exactly when it is 0.
+magnitude, so a minor computes as 0 exactly when it is 0. So is the tile
+filter's L @ R: a x u and c x v are 2x2 minors, so each of its six
+products is at most 16C^3, and only its sum may wrap around.
 
-The working set is fixed. Apart from O(m*d) copies of the endpoints, the
-kernel holds one tile and one chunk at a time. A tile of the bounding-box
-filter is at most BLOCK x BLOCK = 2^16 pairs, and the flat index of its
-survivors takes at most 128 KiB. A chunk sends at most BATCH = 2^14 of them
-to the exact classification, which works one axis or one minor at a time.
-The rank test keeps about 5 live entries per chunk row, and each later
-minor runs only on the rows whose earlier minors are 0. The parameter test
+The working set is fixed. Apart from O(m*d) copies of the endpoints and the
+12 Pluecker entries per segment, the kernel holds one tile and one chunk at
+a time. A tile of the filter is at most BLOCK x BLOCK = 2^16 pairs: its
+int64 matmul product takes 512 KiB and is freed before the tile's chunks
+run, and the flat index of its survivors takes at most 128 KiB. A chunk
+sends at most BATCH = 2^14 of them to the exact classification, which
+works one axis or one minor at a time. The rank test keeps about 5 live
+entries per chunk row, and each later minor runs only on the rows whose
+earlier minors are 0. The parameter test
 splits the skew and the parallel rows up front and runs each branch on its
 own rows; it keeps about 13 live entries per row at its peak, in the skew
 branch. So for d <= 4 the transient arrays stay under 4 MB on the int64
 path, whatever m is and however many pairs survive; that worst case needs
 nearly every pair of a tile to pass the box filter and the rank test.
-tracemalloc peaks of count_pairs are 1.3-1.4 MB on the layered and tiled
-drawings, at most 2.4 MB on graphs of up to 4096 edges in 2-d to 4-d, and
-2.4-3.1 MB on a fan of 2500 segments in one plane, in 2-d to 5-d, whose
+tracemalloc peaks of count_pairs are 1.0-1.4 MB on the layered and tiled
+drawings, at most 2.6 MB on graphs of up to 4096 edges in 2-d to 4-d, and
+2.4-3.4 MB on a fan of 2500 segments in one plane, in 2-d to 5-d, whose
 boxes nearly all overlap. On the object path the same arrays hold the same
 number of entries, each a Python int.
 """
@@ -185,22 +193,22 @@ def _crossing_rows(At, Ut, si, sj):
     return out
 
 
-def _endpoints(A, B):
-    # the (2, m, d) array of the points A and B moved to their minimum
-    # corner: int64 when the spread is at most 2 * SAFE_COORD, Python ints
-    # otherwise; only coordinates past int64 go through Python ints first
+def _endpoints(A, B, limit=2 * SAFE_COORD):
+    # the (2, m, d) array of the m >= 1 points A and B moved to their
+    # minimum corner: int64 when the spread is at most limit (< 2^63), Python
+    # ints otherwise; only coordinates past int64 go through Python ints first
     try:
         P = np.array([A, B], dtype=np.int64)
     except OverflowError:
         pass
     else:
         lo = P.min(axis=(0, 1))
-        if max(int(h) - int(l) for h, l in zip(P.max(axis=(0, 1)), lo)) <= 2 * SAFE_COORD:
+        if max(int(h) - int(l) for h, l in zip(P.max(axis=(0, 1)), lo)) <= limit:
             P -= lo
             return P
     P = np.array([A, B], dtype=object)
     P = P - P.min(axis=(0, 1))
-    return P.astype(np.int64) if P.max() <= 2 * SAFE_COORD else P
+    return P.astype(np.int64) if P.max() <= limit else P
 
 
 def _pairs(P):
@@ -210,6 +218,13 @@ def _pairs(P):
     hi = np.maximum(A, B)
     At = np.ascontiguousarray(A.T)
     Ut = np.ascontiguousarray((B - A).T)
+    if dim >= 3:
+        # Pluecker coordinates (u, a x u) of segment i and (c x v, v) of
+        # segment j, on axes 0..2: L[i] @ R[:, j] is -det[u, v, c - a] there,
+        # the rank test's first minor
+        a, u = A[:, :3], Ut[:3].T
+        L = np.concatenate([u, a[:, [1, 2, 0]] * u[:, [2, 0, 1]] - a[:, [2, 0, 1]] * u[:, [1, 2, 0]]], axis=1)
+        R = np.ascontiguousarray(L[:, [3, 4, 5, 0, 1, 2]].T)
     for i0 in range(0, m, BLOCK):
         i1 = min(m, i0 + BLOCK)
         for j0 in range(i0, m, BLOCK):
@@ -218,6 +233,8 @@ def _pairs(P):
             for ax in range(dim):
                 mask &= lo[j0:j1, ax][None, :] <= hi[i0:i1, ax][:, None]
                 mask &= lo[i0:i1, ax][:, None] <= hi[j0:j1, ax][None, :]
+            if dim >= 3:
+                mask &= L[i0:i1] @ R[:, j0:j1] == 0
             # the survivors' flat indices, in the smallest type that holds them
             flat = np.flatnonzero(mask).astype(np.min_scalar_type(mask.size - 1))
             for c0 in range(0, flat.size, BATCH):

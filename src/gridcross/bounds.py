@@ -14,19 +14,24 @@ Three certificate kinds bound crs(G) from below on a concrete graph:
 * greedy-removal / midpoint-formula: closed forms in volume and edge count
   alone (the formula kind bounds the minimum over all graphs of a given
   size, not a specific graph).
+
+Both bucket kinds sort one array per level. With the endpoints moved to
+their minimum corner, a the start and u = b - a of an edge, the level-p
+point at parameter i/p, gcd(i, p) = 1, is n/p for the row n = p*a + i*u,
+and the runs of equal rows are the buckets. Each entry of n lies in
+[0, p * spread], spread the largest max - min over the axes, so the arrays
+are int64 when p_max * spread <= 2^63 - 1 and object arrays of Python ints
+otherwise (BoundCertificate.dtype). numpy loads on the first pass.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import gcd
 
 from .errors import ValidationError, as_integer
-from .geom import gcd_reduce
 from .graph import GridGraph, compute_volume, require_proper
-from .totients import pgrid_numerators
 
 
 @dataclass(frozen=True)
@@ -35,20 +40,51 @@ class BoundCertificate:
     value: Fraction
     p_max: int | None = None
     incidence: tuple | None = None  # ((p, level-p points over all edges), ...) for essential-pgrid
+    # the bucket arrays' type, "int64" or "object" by the module docstring's
+    # rule, None for a closed form; it says how, not what, so == ignores it
+    dtype: str | None = field(default=None, compare=False, repr=False)
 
 
-def _level(segs, p: int):
-    """(pairs, points) at level p: the segments' points n/p from pgrid_numerators,
-    bucketed by n (exact within a level); pairs sums C(R, 2) over bucket sizes R."""
-    buckets = Counter(n for seg in segs for n in pgrid_numerators(seg, p))
-    return sum(comb(r, 2) for r in buckets.values()), sum(buckets.values())
+def _edges(g: GridGraph):
+    """(P, bad): P the (2, m, d) array of g's edge endpoints moved to their
+    minimum corner, int64 when the spread fits int64 and Python ints
+    otherwise, and bad the indices of the non-primitive edges."""
+    import numpy as np
+
+    from . import _kernels
+    if g.edges:
+        P = _kernels._endpoints(*([g.vertices[v] for v in e] for e in zip(*g.edges)),
+                                np.iinfo(np.int64).max)
+    else:
+        P = np.zeros((2, 0, g.dim), dtype=np.int64)
+    return P, np.flatnonzero(np.gcd.reduce(P[1] - P[0], axis=1) != 1)
+
+
+def _levels(P, p_max: int):
+    """(dtype, pairs, points) for the edges P of _edges: at level p = 1..p_max,
+    points[p - 1] counts the rows n of all edges and pairs[p - 1] sums C(R, 2)
+    over the sizes R of the runs of equal rows."""
+    import numpy as np
+    if P.size and P.max() > np.iinfo(np.int64).max // p_max:
+        P = P.astype(object)
+    a, u = P[0], P[1] - P[0]
+    levels = [(0, 0)]  # level 1: i runs over 1..p - 1, so no rows
+    for p in range(2, p_max + 1):
+        i = np.array([i for i in range(1, p) if gcd(i, p) == 1], dtype=P.dtype)
+        n = (p * a[:, None] + i[:, None] * u[:, None]).reshape(-1, a.shape[1])
+        n = n[np.lexsort(n.T)]
+        starts = np.flatnonzero(np.r_[True, (n[1:] != n[:-1]).any(axis=1)])
+        r = np.diff(np.r_[starts, len(n)])
+        levels.append((int((r * (r - 1) // 2).sum()), len(n)))
+    return (P.dtype.name, *zip(*levels))
 
 
 def lower_bound_midpoint_bucket(g: GridGraph, check_proper: bool = True) -> BoundCertificate:
-    """Sum C(R, 2) over edges sharing a midpoint: the level-2 buckets, keyed by a + b."""
+    """Sum C(R, 2) over edges sharing a midpoint: level 2 of every edge, keyed by a + b."""
     if check_proper:
         require_proper(g)
-    return BoundCertificate("midpoint-bucket", Fraction(_level(g.segments(), 2)[0]))
+    dtype, pairs, _ = _levels(_edges(g)[0], 2)
+    return BoundCertificate("midpoint-bucket", Fraction(pairs[1]), dtype=dtype)
 
 
 def _closed_form_args(N, m, d):
@@ -78,11 +114,6 @@ def default_p_max(m: int, N: int) -> int:
     return p
 
 
-def _non_primitive(segs):
-    """Segments whose coordinate differences share a factor above 1."""
-    return [seg for seg in segs if gcd_reduce(seg)[1] != 1]
-
-
 def check_p_max(p_max: int) -> int:
     """p_max as an int; ValidationError unless the essential-pgrid level
     p_max is an integer >= 1 (a bool, float or string is refused)."""
@@ -90,12 +121,6 @@ def check_p_max(p_max: int) -> int:
     if p_max < 1:
         raise ValidationError(f"p_max must be >= 1, got {p_max}")
     return p_max
-
-
-def _essential_pgrid(segs, p_max: int) -> BoundCertificate:
-    """The certificate from levels 1..p_max of primitive segments."""
-    pairs, points = zip(*(_level(segs, p) for p in range(1, p_max + 1)))
-    return BoundCertificate("essential-pgrid", Fraction(sum(pairs)), p_max, tuple(enumerate(points, 1)))
 
 
 def lower_bound_essential_pgrid(g: GridGraph, p_max: int | None = None,
@@ -110,15 +135,18 @@ def lower_bound_essential_pgrid(g: GridGraph, p_max: int | None = None,
     """
     if check_proper:
         require_proper(g)
-    segs = g.segments()
-    bad = _non_primitive(segs)
-    if bad:
+    P, bad = _edges(g)
+    if bad.size:
+        a, b = (g.vertices[v] for v in g.edges[bad[0]])
         raise ValidationError(
-            f"{len(bad)} non-primitive edge(s), first {bad[0][0]}->{bad[0][1]}; "
+            f"{bad.size} non-primitive edge(s), first {a}->{b}; "
             "reduce edges first if a certificate for the reduced graph is acceptable")
     if p_max is None:
-        p_max = default_p_max(len(segs), compute_volume(g)) if g.vertices else 1
-    return _essential_pgrid(segs, check_p_max(p_max))
+        p_max = default_p_max(len(g.edges), compute_volume(g)) if g.vertices else 1
+    p_max = check_p_max(p_max)
+    dtype, pairs, points = _levels(P, p_max)
+    return BoundCertificate("essential-pgrid", Fraction(sum(pairs)), p_max,
+                            tuple(enumerate(points, 1)), dtype)
 
 
 def lower_bound_greedy_removal(N: int, m: int, d: int) -> int:
@@ -135,16 +163,19 @@ def certify(g: GridGraph, p_max: int | None = None):
     midpoint-formula. essential-pgrid is None exactly when g has a
     non-primitive edge. p_max defaults to default_p_max, and a graph with no
     vertices counts as volume 1. Raises ImproperGraphError if an edge passes
-    through a vertex.
+    through a vertex. midpoint-bucket is level 2 of the one bucket pass,
+    which stops there on a graph with a non-primitive edge.
     """
     require_proper(g)
     volume = compute_volume(g) if g.vertices else 1
     m = len(g.edges)
     p_max = check_p_max(default_p_max(m, volume) if p_max is None else p_max)
-    segs = g.segments()
+    P, bad = _edges(g)
+    primitive = not bad.size
+    pairs = _levels(P, max(p_max, 2) if primitive else 2)[1]
     return p_max, {
-        "midpoint-bucket": lower_bound_midpoint_bucket(g, check_proper=False).value,
-        "essential-pgrid": None if _non_primitive(segs) else _essential_pgrid(segs, p_max).value,
+        "midpoint-bucket": Fraction(pairs[1]),
+        "essential-pgrid": Fraction(sum(pairs[:p_max])) if primitive else None,
         "greedy-removal": lower_bound_greedy_removal(volume, m, g.dim),
         "midpoint-formula": lower_bound_midpoint_formula(volume, m, g.dim),
     }

@@ -7,7 +7,8 @@ never coincide. On a primitive segment, the points at parameters i/p with
 gcd(i, p) = 1 are exactly the level-p points the segment carries, and there
 are phi(p) of them for p >= 2 (none for p = 1, since i ranges over 1..p-1).
 `pgrid_numerators` gives them as integer tuples n, the point being n/p,
-which `bounds` buckets; `edge_pgrid_points` gives them as Fractions.
+the rows that `bounds` builds as arrays and buckets; `edge_pgrid_points`
+gives them as Fractions.
 
 `totient_sieve` crosses out, on a bool array, the multiples of the primes
 p <= sqrt(n_max) only, which leaves every prime up to n_max, and applies

@@ -1,13 +1,17 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridcross import bounds
 from gridcross.bounds import (
+    BoundCertificate,
     certify,
     default_p_max,
     lower_bound_essential_pgrid,
@@ -21,7 +25,7 @@ from gridcross.enumeration import candidate_blocks, grid_points
 from gridcross.errors import ImproperGraphError, ValidationError
 from gridcross.geom import CrossKind, segments_cross
 from gridcross.graph import make_grid_graph, validate_proper
-from gridcross.totients import essential_level, totient_sieve
+from gridcross.totients import essential_level, pgrid_numerators, totient_sieve
 
 DIAGONALS = make_grid_graph(2, [(1, 1), (2, 2), (1, 2), (2, 1)], [(0, 1), (2, 3)])
 
@@ -264,3 +268,84 @@ def test_midpoint_bucket_and_level_two_on_the_benchmark_drawings(build, args, va
     assert lower_bound_essential_pgrid(g, p_max=2).value == value
     cert = lower_bound_essential_pgrid(g, p_max=4)
     assert (cert.value, cert.incidence) == (p4_value, p4_incidence)
+
+
+def _counter_levels(segs, p_max):
+    # the oracle: one Counter per level, keyed on the numerator tuples of
+    # pgrid_numerators; returns [pairs per level, points per level]
+    levels = []
+    for p in range(1, p_max + 1):
+        buckets = Counter(n for seg in segs for n in pgrid_numerators(seg, p))
+        levels.append((sum(comb(r, 2) for r in buckets.values()), sum(buckets.values())))
+    return [*zip(*levels)]
+
+
+def test_levels_match_a_counter_over_pgrid_numerators():
+    """Random edge sets on a side-5 box in 1-d to 5-d, primitive or not,
+    scaled and shifted to coordinates up to about 2^70 (which keeps every
+    bucket): the array levels 1..12 equal the Counter's, on int64 arrays and
+    on Python ints."""
+    rng = random.Random(28)
+    dtypes, non_primitive = Counter(), 0
+    for trial in range(150):
+        dim = 1 + trial % 5
+        points = list({tuple(rng.randrange(5) for _ in range(dim)) for _ in range(12)})
+        edges = {tuple(sorted(rng.sample(range(len(points)), 2))) for _ in range(rng.randint(1, 15))}
+        scale = rng.choice([1, 3, 2 ** 40, 2 ** 66])
+        shift = rng.choice([0, -2 ** 69, 2 ** 69])
+        g = make_grid_graph(dim, [tuple(scale * x + shift for x in v) for v in points], sorted(edges))
+        P, bad = bounds._edges(g)
+        non_primitive += bool(bad.size)
+        for p_max in (2, 12):
+            dtype, *levels = bounds._levels(P, p_max)
+            assert levels == _counter_levels(g.segments(), p_max)
+            dtypes[dtype] += 1
+    assert non_primitive > 50 and dtypes["int64"] > 50 and dtypes["object"] > 50
+
+
+@pytest.mark.parametrize("vertices, edges", [
+    ([], []), ([(0, 0, 0)], []), ([(0, 0, 0), (1, 2, 3)], [(0, 1)]),
+    ([(-2 ** 70, 0, 0), (1, 2, 3)], [(0, 1)]),
+], ids=["empty", "edgeless", "one-edge", "one-huge-edge"])
+def test_levels_on_graphs_of_at_most_one_edge(vertices, edges):
+    g = make_grid_graph(3, vertices, edges)
+    _, *levels = bounds._levels(bounds._edges(g)[0], 12)
+    assert levels == _counter_levels(g.segments(), 12)
+    assert lower_bound_midpoint_bucket(g).value == 0 == lower_bound_essential_pgrid(g, 12).value
+
+
+@pytest.mark.parametrize("S, dtype", [(2 ** 62 - 1, "int64"), (2 ** 62, "object")])
+def test_bucket_arrays_are_int64_while_p_max_times_spread_fits(S, dtype):
+    # the diagonals of an S x 1 box cross at their common midpoint; the
+    # spread is S, so the level-2 arrays are int64 iff 2 S <= 2^63 - 1
+    g = make_grid_graph(2, [(0, 0), (S, 1), (S, 0), (0, 1)], [(0, 1), (2, 3)])
+    mid, pgrid = lower_bound_midpoint_bucket(g), lower_bound_essential_pgrid(g, 2)
+    assert mid.dtype == pgrid.dtype == dtype
+    assert lower_bound_essential_pgrid(g, 3).dtype == "object"
+    # the dtype says how a value was computed, not what it is
+    assert mid == BoundCertificate("midpoint-bucket", Fraction(1))
+    assert "dtype" not in repr(pgrid) and pgrid.value == 1
+    assert certify(g, 2)[1]["midpoint-bucket"] == 1
+
+
+@pytest.mark.parametrize("g, p_max, want", [
+    (layered_complete_bipartite(3, 3), 4, 4),
+    (layered_complete_bipartite(3, 3), 1, 2),
+    (make_grid_graph(2, [(0, 0), (4, 6), (0, 6), (4, 0)], [(0, 1), (2, 3)]), 4, 2),
+], ids=["primitive", "primitive-p_max-1", "non-primitive"])
+def test_certify_runs_one_bucket_pass(monkeypatch, g, p_max, want):
+    """certify takes midpoint-bucket from the level 2 of its one bucket pass:
+    levels 1..max(p_max, 2) on a primitive graph, level 2 and below on one
+    with a non-primitive edge."""
+    calls = []
+    levels = bounds._levels
+
+    def spy(P, p):
+        calls.append(p)
+        return levels(P, p)
+
+    monkeypatch.setattr(bounds, "_levels", spy)
+    _, values = certify(g, p_max)
+    assert calls == [want]
+    monkeypatch.undo()
+    assert values["midpoint-bucket"] == lower_bound_midpoint_bucket(g).value

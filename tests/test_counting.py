@@ -222,6 +222,22 @@ def _kernel_agrees_with_geom(pairs, offset=0, dtype=np.int64):
     return [pair for pair, x, y in zip(pairs, got, want) if bool(x) != y]
 
 
+def _tiles_agree_with_geom(pairs, group=64):
+    # the pairs (p -> q, r -> s) through crossing_pairs, with its tile filters,
+    # `group` at a time: the segments p -> q of a group come first and the
+    # segments r -> s after them, and the pair decided for each is (k, group + k)
+    wrong = []
+    for g0 in range(0, len(pairs), group):
+        chunk = pairs[g0:g0 + group]
+        n = len(chunk)
+        A = [pair[0] for pair in chunk] + [pair[2] for pair in chunk]
+        B = [pair[1] for pair in chunk] + [pair[3] for pair in chunk]
+        got = {int(i) for si, sj in _kernels.crossing_pairs(A, B) for i, j in zip(si, sj) if j == i + n}
+        wrong += [pair for k, pair in enumerate(chunk)
+                  if (k in got) != segments_cross(pair[:2], pair[2:]).is_crossing]
+    return wrong
+
+
 def _det3(u, v, w, axes):
     i, j, k = axes
     return (u[i] * (v[j] * w[k] - v[k] * w[j]) - u[j] * (v[i] * w[k] - v[k] * w[i])
@@ -243,6 +259,16 @@ def test_kernel_matches_geom_on_envelope_cube_edges():
     assert _kernel_agrees_with_geom(pairs) == []
     # the same pairs on Python ints, far outside int64
     assert _kernel_agrees_with_geom(pairs, offset=2 ** 64, dtype=object) == []
+    # every pair of the 56 segments through crossing_pairs, int64 at spread
+    # 2C, and on Python ints when the cube is scaled past int64
+    A, B = zip(*segs)
+    want = {(i, j) for i, j in combinations(range(len(segs)), 2)
+            if segments_cross(segs[i], segs[j]).is_crossing}
+    for scale in (1, 2 ** 64):
+        P = [tuple(scale * x for x in p) for p in A], [tuple(scale * x for x in q) for q in B]
+        got = {(int(i), int(j)) for si, sj in _kernels.crossing_pairs(*P) for i, j in zip(si, sj)}
+        assert got == want
+        assert _kernels.count_pairs(*P)[2] == ("int64" if scale == 1 else "object")
 
 
 def test_kernel_matches_geom_on_envelope_sample():
@@ -277,6 +303,23 @@ def test_kernel_matches_geom_on_4d_envelope_sample():
     crossing = sum(segments_cross(pair[:2], pair[2:]).is_crossing for pair in pairs)
     assert skew > 4000 and crossing >= 10
     assert _kernel_agrees_with_geom(pairs) == []
+    assert _tiles_agree_with_geom(pairs) == []
+
+
+@pytest.mark.parametrize("sides", [(4, 4, 3), (3, 3, 2, 2)], ids=["3d", "4d"])
+def test_pruned_matches_naive_on_sheared_graphs_past_int64(sides):
+    """x -> x + 10^12 z is unimodular, so it keeps every crossing, and it
+    takes the spread far past 2 * SAFE_COORD: the tile filter on axes 0..2
+    and the rank test run on Python ints."""
+    for seed in range(3):
+        g = random_proper_graph(sides, m=40, seed=80 + seed)
+        sheared = make_grid_graph(len(sides), [(v[0] + 10 ** 12 * v[2],) + v[1:] for v in g.vertices],
+                                  g.edges)
+        ref = count_crossings_naive(g)
+        got = count_crossings_pruned(sheared)
+        assert got.dtype == "object" and ref.total > 0
+        assert (got.total, got.per_edge) == (ref.total, ref.per_edge)
+        assert count_crossings_naive(sheared, check_proper=False) == ref
 
 
 def test_kernel_decides_4d_pairs_parallel_on_the_first_three_axes():

@@ -1,7 +1,7 @@
 """numpy is an import of the array layers, not of the package: importing
-gridcross, generating the layered and tiled drawings, naive counting and the
-certificates leave it unloaded, and the kernel, the candidate table and the
-totient sieve load it on first use. Each case runs in a fresh interpreter,
+gridcross, generating the layered and tiled drawings and naive counting
+leave it unloaded, and the kernel, the bucket certificates, the candidate
+table and the totient sieve load it on first use. Each case runs in a fresh interpreter,
 since pytest has loaded numpy in this one."""
 
 import os
@@ -34,9 +34,7 @@ def cli(*argv):
     "import gridcross\n",
     cli("gen", "--kind", "bipartite", "--k", "2", "--dim", "3"),
     cli("gen", "--kind", "tiled", "--k", "2", "--side", "4", "--dim", "3"),
-    DRAWING + "from gridcross import certify, lower_bound_essential_pgrid\n"
-              "certify(g); lower_bound_essential_pgrid(g)\n",
-], ids=["import", "gen-bipartite", "gen-tiled", "certificates"])
+], ids=["import", "gen-bipartite", "gen-tiled"])
 def test_numpy_free_entry_points_leave_numpy_unloaded(code):
     assert not numpy_loaded(code)
 
@@ -49,9 +47,11 @@ def test_naive_cross_leaves_numpy_unloaded(tmp_path):
 
 @pytest.mark.parametrize("code", [
     DRAWING + "from gridcross import count_crossings_pruned; count_crossings_pruned(g)\n",
+    DRAWING + "from gridcross import certify, lower_bound_essential_pgrid\n"
+              "certify(g); lower_bound_essential_pgrid(g)\n",
     "from gridcross import build_conflict_graph; build_conflict_graph((2, 2))\n",
     "from gridcross import random_proper_graph; random_proper_graph((3, 3), 4, 1)\n",
     "from gridcross import totient_sieve; totient_sieve(10)\n",
-], ids=["pruned", "conflict-graph", "random-graph", "sieve"])
+], ids=["pruned", "certificates", "conflict-graph", "random-graph", "sieve"])
 def test_array_layers_load_numpy(code):
     assert numpy_loaded(code)
