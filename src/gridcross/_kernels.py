@@ -4,23 +4,24 @@ crossing_pairs first moves the origin to the minimum corner of the
 endpoints. A block-vectorized filter selects the candidate pairs, and one
 batched exact classification, the array counterpart of the rational one in
 geom, decides them. The filter keeps the pairs whose bounding boxes meet
-and, in three or more dimensions, whose 3x3 minor on axes 0..2 (below) is
-0, by one integer matmul per tile: L @ R = -det[u, v, w] there for the
-Pluecker coordinates L = (u, a x u) and R = (c x v, v). The exact
-classification still computes every minor. For the segments a + t*u and
-c + s*v, t and s in (0, 1), with w = c - a, it is a rank test followed by
-a parameter test:
+and, in three or more dimensions, whose 3x3 minor det[u, v, w] on axes
+0..2 (below) is 0, by one integer matmul per tile: L @ R = -det[u, v, w]
+there for the Pluecker coordinates L = (u, a x u) and R = (c x v, v).
+The filter only drops pairs that the exact classification rejects; that
+classification alone decides. For the segments a + t*u and c + s*v, t and
+s in (0, 1), with w = c - a, it takes the steps of geom.segments_cross:
 
-* the rank test keeps a pair only if its four endpoints lie in one plane,
-  as those of two crossing open segments must: the d x 3 matrix [u, v, w]
-  has rank at most 2, so each of its 3x3 minors, one per axis triple, is 0.
-  In one or two dimensions there is no triple and every pair passes.
-* the parameter test: if u and v are not parallel, some 2x2 minor of
-  (u, v), the pivot, is not 0, and rank 2 means that the supports meet, at
-  the t and s that solve the 2x2 system on the pivot's two axes; the
-  segments cross iff both lie in (0, 1). If u and v are parallel, the
-  supports must be collinear and the open projections on the axis where
-  |u| is largest must overlap.
+* the pivot: the first nonzero 2x2 minor det = v_i u_j - u_i v_j of (u, v)
+  over the axis pairs (i, j) in order; there is none (every pair is
+  parallel) in one dimension.
+* skew pairs, with a pivot: t = tn/det and s = sn/det solve t*u - s*v = w
+  on the pivot's two axes, the numerators tn and sn being 2x2 minors too.
+  The supports meet iff that solution holds on every axis k,
+  tn*u_k - sn*v_k == det*w_k, and then the segments cross iff t and s both
+  lie in (0, 1). On the pivot's own axes the check always holds, so in two
+  dimensions it rejects nothing.
+* parallel pairs, without a pivot: the supports must be collinear and the
+  open projections on the axis where |u| is largest must overlap.
 
 The same code runs on int64 arrays when the spread of the coordinates (the
 largest max - min over the axes) is at most 2C, C = SAFE_COORD, and on
@@ -29,15 +30,16 @@ that fit int64 go into int64 arrays directly; only the others, and spreads
 past 2C, pass through Python ints. The int64 path is exact because after
 the translation every coordinate lies in [0, 2C], so every entry of
 u = b - a, v = d - c, w = c - a and d - a is at most 2C in magnitude. Then
-every 2x2 minor, the pivot and the numerators of t and s among them, is at
-most 8C^2, and every product of a 2x2 minor with an entry is at most
-16C^3 < 2^63: no single product overflows. The only sums that may wrap
-around are the 3x3 minors of the rank test, and only their comparison with
-0 is used. int64 arithmetic is exact modulo 2^64, and a 3x3 determinant
-with entries of magnitude at most 2C is at most 4*(2C)^3 = 32C^3 < 2^64 in
-magnitude, so a minor computes as 0 exactly when it is 0. So is the tile
-filter's L @ R: a x u and c x v are 2x2 minors, so each of its six
-products is at most 16C^3, and only its sum may wrap around.
+every 2x2 minor, det, tn and sn among them, is at most 8C^2, and every
+product of a 2x2 minor with an entry is at most 16C^3 < 2^63: no single
+product overflows. The only sums that may wrap around are the tile
+filter's L @ R and the meet check's tn*u_k - sn*v_k - det*w_k, and each is
++- a 3x3 minor of [u, v, w]: a x u and c x v are 2x2 minors, so each of
+the six products of L @ R is at most 16C^3, and the meet difference is the
+minor that borders the pivot with axis k. Only their comparison with 0 is
+used. int64 arithmetic is exact modulo 2^64, and a 3x3 determinant with
+entries of magnitude at most 2C is at most 4*(2C)^3 = 32C^3 < 2^64 in
+magnitude, so each computes as 0 exactly when it is 0.
 
 The working set is fixed. Apart from O(m*d) copies of the endpoints and the
 12 Pluecker entries per segment, the kernel holds one tile and one chunk at
@@ -45,19 +47,17 @@ a time. A tile of the filter is at most BLOCK x BLOCK = 2^16 pairs: its
 int64 matmul product takes 512 KiB and is freed before the tile's chunks
 run, and the flat index of its survivors takes at most 128 KiB. A chunk
 sends at most BATCH = 2^14 of them to the exact classification, which
-works one axis or one minor at a time. The rank test keeps about 5 live
-entries per chunk row, and each later minor runs only on the rows whose
-earlier minors are 0. The parameter test
-splits the skew and the parallel rows up front and runs each branch on its
-own rows; it keeps about 13 live entries per row at its peak, in the skew
-branch. So for d <= 4 the transient arrays stay under 4 MB on the int64
-path, whatever m is and however many pairs survive; that worst case needs
-nearly every pair of a tile to pass the box filter and the rank test.
-tracemalloc peaks of count_pairs are 1.0-1.4 MB on the layered and tiled
-drawings, at most 2.6 MB on graphs of up to 4096 edges in 2-d to 4-d, and
-2.4-3.4 MB on a fan of 2500 segments in one plane, in 2-d to 5-d, whose
-boxes nearly all overlap. On the object path the same arrays hold the same
-number of entries, each a Python int.
+works one axis or one minor at a time. It splits the skew and the parallel
+rows up front and runs each branch on its own rows; it keeps about 12 live
+entries per chunk row at its peak, in the skew branch, in 2-d to 5-d. So
+for d <= 4 the transient arrays stay under 4 MB on the int64 path,
+whatever m is and however many pairs survive; that worst case needs nearly
+every pair of a tile to pass both filters. tracemalloc peaks of count_pairs
+are 1.0-1.6 MiB on the layered and tiled drawings, at most 2.6 MiB on
+graphs of up to 4096 edges in 2-d to 4-d, and 2.4-2.9 MiB on a fan of 2500
+segments in one plane, in 2-d to 5-d, whose boxes nearly all overlap. On
+the object path the same arrays hold the same number of entries, each a
+Python int.
 """
 
 from __future__ import annotations
@@ -69,25 +69,6 @@ import numpy as np
 SAFE_COORD = 800_000  # int64 runs spreads up to 2 * SAFE_COORD; 32 * SAFE_COORD^3 < 2^64
 BLOCK = 256  # segments per side of one bounding-box filter tile (<= 2^16 pairs, 128 KiB of indices)
 BATCH = 1 << 14  # candidate pairs per exact classification call (about 2 MB at d = 4)
-
-
-def _minor3(At, Ut, si, sj, axes):
-    # the 3x3 minor of (u, v, w) on the three axes, as the sum over the
-    # cyclic shifts (p, q, r) of the axes of w_r (u_p v_q - u_q v_p), one
-    # term at a time
-    det = np.zeros(si.size, dtype=At.dtype)
-    i, j, k = axes
-    for p, q, r in ((i, j, k), (j, k, i), (k, i, j)):
-        c = Ut[p].take(si) * Ut[q].take(sj)
-        t = Ut[q].take(si)
-        t *= Ut[p].take(sj)
-        c -= t
-        del t
-        w = At[r].take(sj)
-        w -= At[r].take(si)
-        c *= w
-        det += c
-    return det
 
 
 def _pivot_minor(Ut, si, sj, mi, mj):
@@ -112,10 +93,10 @@ def _pivot_minor(Ut, si, sj, mi, mj):
 
 
 def _skew_crosses(At, Ut, si, sj, det, pi, pj):
-    # skew directions on rows of rank 2: the supports meet at
-    # a + (tn/det) u = c + (sn/det) v, where tn and sn solve the 2x2 system
-    # on the pivot axes (pi, pj), and the open segments cross iff both
-    # parameters lie in (0, 1). This branch sets the kernel's peak, so every
+    # skew directions: t = tn/det and s = sn/det solve t*u - s*v = w on the
+    # pivot axes (pi, pj). The supports meet iff they solve it on every axis
+    # k, tn*u_k - sn*v_k == det*w_k, and then the open segments cross iff t
+    # and s both lie in (0, 1). This branch sets the kernel's peak, so every
     # temporary goes as soon as it is spent.
     wi = At[pi, sj]
     wi -= At[pi, si]
@@ -132,11 +113,22 @@ def _skew_crosses(At, Ut, si, sj, det, pi, pj):
     t *= wi
     sn -= t
     del wi, pi, pj, t
+    meet = np.ones(si.size, dtype=bool)
+    for k in range(At.shape[0]):
+        lhs = Ut[k].take(si)
+        lhs *= tn
+        t = Ut[k].take(sj)
+        t *= sn
+        lhs -= t
+        t = At[k].take(sj)
+        t -= At[k].take(si)
+        t *= det
+        meet &= lhs == t
     neg = det < 0
     np.negative(tn, out=tn, where=neg)
     np.negative(sn, out=sn, where=neg)
     det = abs(det)
-    return (0 < tn) & (tn < det) & (0 < sn) & (sn < det)
+    return meet & (0 < tn) & (tn < det) & (0 < sn) & (sn < det)
 
 
 def _parallel_crosses(At, Ut, si, sj):
@@ -168,28 +160,20 @@ def _crossing_rows(At, Ut, si, sj):
     At and Ut are (dim, m) arrays: column e holds the start a and the
     direction b - a of segment e.
     """
-    # the rank test: every 3x3 minor of (u, v, w), w = c - a, is 0, each
-    # taken only on the rows whose earlier minors are all 0
-    out = np.ones(si.size, dtype=bool)
-    rows = slice(None)
-    for axes in combinations(range(At.shape[0]), 3):
-        out[rows] = _minor3(At, Ut, si[rows], sj[rows], axes) == 0
-        rows = np.flatnonzero(out)
-    si, sj = si[rows], sj[rows]
-    # the parameter test on the axis pairs (mi[p], mj[p]), none in one
-    # dimension; skew and parallel rows each take their own branch
+    # the first nonzero 2x2 minor over the axis pairs (mi[p], mj[p]), none
+    # in one dimension, as in geom.segments_cross; skew and parallel rows
+    # each take their own branch
     mi, mj = np.array([*combinations(range(At.shape[0]), 2)], dtype=np.intp).reshape(-1, 2).T
     det, piv = _pivot_minor(Ut, si, sj, mi, mj)
-    crossed = np.zeros(si.size, dtype=bool)
+    out = np.zeros(si.size, dtype=bool)
     par = np.flatnonzero(det == 0)
     skew = np.flatnonzero(det)
     det, piv = det[skew], piv[skew]
     if skew.size:
-        crossed[skew] = _skew_crosses(At, Ut, si[skew], sj[skew], det, mi[piv], mj[piv])
+        out[skew] = _skew_crosses(At, Ut, si[skew], sj[skew], det, mi[piv], mj[piv])
     del det, piv, skew  # the parallel branch runs without them
     if par.size:
-        crossed[par] = _parallel_crosses(At, Ut, si[par], sj[par])
-    out[rows] = crossed
+        out[par] = _parallel_crosses(At, Ut, si[par], sj[par])
     return out
 
 
@@ -221,7 +205,7 @@ def _pairs(P):
     if dim >= 3:
         # Pluecker coordinates (u, a x u) of segment i and (c x v, v) of
         # segment j, on axes 0..2: L[i] @ R[:, j] is -det[u, v, c - a] there,
-        # the rank test's first minor
+        # which is 0 for every pair that crosses
         a, u = A[:, :3], Ut[:3].T
         L = np.concatenate([u, a[:, [1, 2, 0]] * u[:, [2, 0, 1]] - a[:, [2, 0, 1]] * u[:, [1, 2, 0]]], axis=1)
         R = np.ascontiguousarray(L[:, [3, 4, 5, 0, 1, 2]].T)

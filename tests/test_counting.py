@@ -210,9 +210,10 @@ def test_pruned_huge_coordinates_fall_back_to_exact_path():
 
 
 def _kernel_agrees_with_geom(pairs, offset=0, dtype=np.int64):
-    # segment k (a -> b) against segment n + k (c -> d), through the same
-    # rank test and parameter test that crossing_pairs runs, on arrays of
-    # `dtype` with every point shifted by `offset`
+    # segment k (a -> b) against segment n + k (c -> d), through the exact
+    # test that crossing_pairs runs after its filters (the pivot, the meet
+    # check on every axis and the parameter test), on arrays of `dtype` with
+    # every point shifted by `offset`
     a, b, c, d = (np.array(col, dtype=dtype) for col in zip(*pairs))
     At = np.concatenate([a, c]).T + offset
     Ut = np.concatenate([b - a, d - c]).T
@@ -282,26 +283,40 @@ def test_kernel_matches_geom_on_envelope_sample():
     assert _kernel_agrees_with_geom(pairs) == []
 
 
-def test_kernel_matches_geom_on_4d_envelope_sample():
-    # A quarter of the sample is drawn with a zero 3x3 minor on axes 0..2,
-    # so that the rank test's triples through the fourth axis decide.
+@pytest.mark.parametrize("d", [4, 5], ids=["4d", "5d"])
+def test_kernel_matches_geom_on_high_dim_envelope_sample(d):
+    # A quarter of the random sample is drawn with a zero 3x3 minor on axes
+    # 0..2: it passes the tile filter, and the meet check on the axes past 2
+    # decides it. Random pairs at the envelope seldom cross, so 1000 pairs
+    # p -> -p, r -> -r, which cross at the origin, join the sample, each also
+    # with -r moved one unit on an axis k >= 3: its (0, 1, 2) minor stays 0,
+    # so again only the meet check can reject it.
     rng = random.Random(2025)
     values = (-C, -(C - 1), 0, C - 1, C)
-    flat, free = [], []
+    flat, free, sym = [], [], []
     while len(flat) < 5000 or len(free) < 15000:
-        xs = rng.choices(values, k=16)
-        p, q, r, s = (tuple(xs[i:i + 4]) for i in range(0, 16, 4))
+        xs = rng.choices(values, k=4 * d)
+        p, q, r, s = (tuple(xs[i:i + d]) for i in range(0, 4 * d, d))
         if p == q or r == s:
             continue
         if _det3(*_uvw(p, q, r, s), (0, 1, 2)) == 0:
             flat.append((p, q, r, s))
         else:
             free.append((p, q, r, s))
-    pairs = flat[:5000] + free[:15000]
-    skew = sum(any(_det3(*_uvw(*pair), axes) for axes in combinations(range(4), 3))
+    while len(sym) < 2000:
+        p, r = (rng.choices(values, k=d) for _ in range(2))
+        if any(p) and any(r):
+            s = [-x for x in r]
+            k = rng.randrange(3, d)
+            s[k] += 1 if s[k] < C else -1
+            sym += [(tuple(p), tuple(-x for x in p), tuple(r), tuple(-x for x in r)),
+                    (tuple(p), tuple(-x for x in p), tuple(r), tuple(s))]
+    pairs = flat[:5000] + free[:15000] + sym
+    skew = sum(any(_det3(*_uvw(*pair), axes) for axes in combinations(range(d), 3))
                for pair in pairs[:5000])
-    crossing = sum(segments_cross(pair[:2], pair[2:]).is_crossing for pair in pairs)
-    assert skew > 4000 and crossing >= 10
+    crosses = [segments_cross(pair[:2], pair[2:]).is_crossing for pair in pairs]
+    assert all(_det3(*_uvw(*pair), (0, 1, 2)) == 0 for pair in sym)
+    assert skew > 4000 and all(crosses[20000::2]) and crosses[20001::2].count(False) > 900
     assert _kernel_agrees_with_geom(pairs) == []
     assert _tiles_agree_with_geom(pairs) == []
 
@@ -310,7 +325,7 @@ def test_kernel_matches_geom_on_4d_envelope_sample():
 def test_pruned_matches_naive_on_sheared_graphs_past_int64(sides):
     """x -> x + 10^12 z is unimodular, so it keeps every crossing, and it
     takes the spread far past 2 * SAFE_COORD: the tile filter on axes 0..2
-    and the rank test run on Python ints."""
+    and the meet check run on Python ints."""
     for seed in range(3):
         g = random_proper_graph(sides, m=40, seed=80 + seed)
         sheared = make_grid_graph(len(sides), [(v[0] + 10 ** 12 * v[2],) + v[1:] for v in g.vertices],
@@ -322,21 +337,34 @@ def test_pruned_matches_naive_on_sheared_graphs_past_int64(sides):
         assert count_crossings_naive(sheared, check_proper=False) == ref
 
 
-def test_kernel_decides_4d_pairs_parallel_on_the_first_three_axes():
-    # u and v are parallel on axes 0..2, so every 2x2 minor there and the
-    # 3x3 minor on axes 0..2 are 0: the pivot is (0, 3), and only the rank
-    # test's triple (0, 1, 3) tells the skew pair from the crossing one.
-    # On the pivot axes both pairs meet at t = s = 1/2.
-    crossing = ((0, 0, 0, 0), (2, 0, 0, 2), (0, 0, 0, 2), (2, 0, 0, 0))
-    skew = ((0, 0, 0, 0), (2, 0, 0, 2), (0, 1, 0, 2), (2, 1, 0, 0))
-    for pair in (crossing, skew):
+@pytest.mark.parametrize("d", [4, 5], ids=["4d", "5d"])
+def test_kernel_decides_pairs_parallel_on_the_first_three_axes(d):
+    # u and v are parallel on axes 0..d-2, so every 2x2 minor there and the
+    # 3x3 minor on axes 0..2 are 0: the pivot is (0, d - 1), and on its axes
+    # every pair below meets at t = s = 1/2. Each skew pair moves c and d of
+    # the crossing pair one unit along an axis k outside the pivot, and only
+    # the meet check on that axis, tn*u_k - sn*v_k == det*w_k, rejects it.
+    def point(*entries):  # the point with coordinate x on axis k, for each (k, x)
+        p = [0] * d
+        for k, x in entries:
+            p[k] += x
+        return tuple(p)
+
+    a, b = point(), point((0, 2), (d - 1, 2))
+    crossing = (a, b, point((d - 1, 2)), point((0, 2)))
+    skews = [(a, b, point((d - 1, 2), (k, 1)), point((0, 2), (k, 1))) for k in range(1, d - 1)]
+    for pair in (crossing, *skews):
         u, v, w = _uvw(*pair)
-        assert u[:3] == v[:3] and _det3(u, v, w, (0, 1, 2)) == 0
-    assert [_det3(*_uvw(*skew), axes) for axes in combinations(range(4), 3)] == [0, 8, 0, 0]
+        assert u[:d - 1] == v[:d - 1] and _det3(u, v, w, (0, 1, 2)) == 0
+        on_pivot = [(x[0], x[d - 1]) for x in pair]
+        assert segments_cross(on_pivot[:2], on_pivot[2:]).point == (1, 1)
+    for k, skew in enumerate(skews, 1):
+        # the only nonzero 3x3 minor borders the pivot with axis k
+        assert [axes for axes in combinations(range(d), 3) if _det3(*_uvw(*skew), axes)] == [(0, k, d - 1)]
+        assert not segments_cross(skew[:2], skew[2:]).is_crossing
     assert segments_cross(crossing[:2], crossing[2:]).kind is CrossKind.POINT_CROSS
-    assert not segments_cross(skew[:2], skew[2:]).is_crossing
-    assert _kernel_agrees_with_geom([crossing, skew]) == []
-    assert _kernel_agrees_with_geom([crossing, skew], offset=2 ** 64, dtype=object) == []
+    assert _kernel_agrees_with_geom([crossing, *skews]) == []
+    assert _kernel_agrees_with_geom([crossing, *skews], offset=2 ** 64, dtype=object) == []
 
 
 def test_crossing_pair_with_int64_overflowing_determinant_terms_is_counted():
@@ -410,8 +438,8 @@ def _proper_graphs(draw):
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_pruned_matches_naive_under_lattice_symmetries(data):
-    # translations, an axis permutation (it changes which 3x3 minor of the
-    # rank test and which 2x2 pivot decide), reflections and scalings keep
+    # translations, an axis permutation (it changes which 2x2 pivot and
+    # which axis of the meet check decide), reflections and scalings keep
     # every crossing and every edge index. The kernel undoes a translation,
     # so only the scaling by 2C + 1 moves the spread out of int64, onto
     # Python ints.
