@@ -6,20 +6,23 @@ batched exact classification, the array counterpart of the rational one in
 geom, decides them. The filter keeps the pairs whose bounding boxes meet
 and, in three or more dimensions, whose 3x3 minor det[u, v, w] on axes
 0..2 (below) is 0, by one integer matmul per tile: L @ R = -det[u, v, w]
-there for the Pluecker coordinates L = (u, a x u) and R = (c x v, v).
+there for the Pluecker coordinates L = (u, a x u) and R = (c x v, v). The
+box corners are only compared, so they are stored in the smallest type
+that holds the spread (below): uint8 on the benchmark drawings.
 The filter only drops pairs that the exact classification rejects; that
 classification alone decides. For the segments a + t*u and c + s*v, t and
 s in (0, 1), with w = c - a, it takes the steps of geom.segments_cross:
 
 * the pivot: the first nonzero 2x2 minor det = v_i u_j - u_i v_j of (u, v)
-  over the axis pairs (i, j) in order; there is none (every pair is
-  parallel) in one dimension.
-* skew pairs, with a pivot: t = tn/det and s = sn/det solve t*u - s*v = w
-  on the pivot's two axes, the numerators tn and sn being 2x2 minors too.
-  The supports meet iff that solution holds on every axis k,
-  tn*u_k - sn*v_k == det*w_k, and then the segments cross iff t and s both
-  lie in (0, 1). On the pivot's own axes the check always holds, so in two
-  dimensions it rejects nothing.
+  over the axis pairs (i, j) in order. One pass per axis pair takes the
+  minor on the rows whose earlier minors are all 0 and decides the rows
+  where it is nonzero; the rows left after the last pass (all of them in
+  one dimension) are parallel.
+* skew pairs, with the pivot (i, j): t = tn/det and s = sn/det solve
+  t*u - s*v = w on axes i and j, the numerators tn and sn being 2x2 minors
+  too. There the solution holds by Cramer's rule; the supports meet iff it
+  holds on every other axis k, tn*u_k - sn*v_k == det*w_k, and then the
+  segments cross iff t and s both lie in (0, 1).
 * parallel pairs, without a pivot: the supports must be collinear and the
   open projections on the axis where |u| is largest must overlap.
 
@@ -47,17 +50,16 @@ a time. A tile of the filter is at most BLOCK x BLOCK = 2^16 pairs: its
 int64 matmul product takes 512 KiB and is freed before the tile's chunks
 run, and the flat index of its survivors takes at most 128 KiB. A chunk
 sends at most BATCH = 2^14 of them to the exact classification, which
-works one axis or one minor at a time. It splits the skew and the parallel
-rows up front and runs each branch on its own rows; it keeps about 12 live
-entries per chunk row at its peak, in the skew branch, in 2-d to 5-d. So
-for d <= 4 the transient arrays stay under 4 MB on the int64 path,
-whatever m is and however many pairs survive; that worst case needs nearly
-every pair of a tile to pass both filters. tracemalloc peaks of count_pairs
-are 1.0-1.6 MiB on the layered and tiled drawings, at most 2.6 MiB on
-graphs of up to 4096 edges in 2-d to 4-d, and 2.4-2.9 MiB on a fan of 2500
-segments in one plane, in 2-d to 5-d, whose boxes nearly all overlap. On
-the object path the same arrays hold the same number of entries, each a
-Python int.
+works one axis or one minor at a time on the rows of one pivot pass. It
+keeps about 12 live entries per chunk row at its peak in 2-d to 5-d on
+skew rows, and 12-15 on parallel rows. So for d <= 4 the transient arrays
+stay under 4 MB on the int64 path, whatever m is and however many pairs
+survive; that worst case needs nearly every pair of a tile to pass both
+filters. tracemalloc peaks of count_pairs are 0.9-1.3 MiB on the layered
+and tiled drawings, at most 2.3 MiB on graphs of up to 4096 edges in 2-d
+to 4-d, and 2.3-2.8 MiB on a fan of 2500 segments in one plane, in 2-d to
+5-d, whose boxes nearly all overlap. On the object path the same arrays
+hold the same number of entries, each a Python int.
 """
 
 from __future__ import annotations
@@ -71,50 +73,35 @@ BLOCK = 256  # segments per side of one bounding-box filter tile (<= 2^16 pairs,
 BATCH = 1 << 14  # candidate pairs per exact classification call (about 2 MB at d = 4)
 
 
-def _pivot_minor(Ut, si, sj, mi, mj):
-    # (det, piv): det[k] is the first nonzero 2x2 minor v_i*u_j - u_i*v_j of
-    # row k over the axis pairs (i, j) = (mi[p], mj[p]) in order of p, and
-    # piv[k] that p; det[k] is 0 exactly when u and v are parallel. Each
-    # minor is taken only on the rows whose earlier minors are all 0.
-    det = np.zeros(si.size, dtype=Ut.dtype)
-    piv = np.zeros(si.size, dtype=np.intp)
-    rows = slice(None)
-    for p, (i, j) in enumerate(zip(mi, mj)):
-        a, b = si[rows], sj[rows]
-        minor = Ut[i].take(b) * Ut[j].take(a)
-        t = Ut[i].take(a)
-        t *= Ut[j].take(b)
-        minor -= t
-        del t
-        det[rows] = minor
-        piv[rows] = p
-        rows = np.flatnonzero(det == 0)
-    return det, piv
-
-
-def _skew_crosses(At, Ut, si, sj, det, pi, pj):
-    # skew directions: t = tn/det and s = sn/det solve t*u - s*v = w on the
-    # pivot axes (pi, pj). The supports meet iff they solve it on every axis
-    # k, tn*u_k - sn*v_k == det*w_k, and then the open segments cross iff t
-    # and s both lie in (0, 1). This branch sets the kernel's peak, so every
-    # temporary goes as soon as it is spent.
-    wi = At[pi, sj]
-    wi -= At[pi, si]
-    wj = At[pj, sj]
-    wj -= At[pj, si]
-    tn = Ut[pi, sj] * wj
-    t = Ut[pj, sj]
+def _skew_crosses(At, Ut, si, sj, det, i, j):
+    # skew directions with the pivot (i, j): t = tn/det and s = sn/det solve
+    # t*u - s*v = w on axes i and j, where it holds by Cramer's rule. The
+    # open segments cross iff t and s both lie in (0, 1) and the supports
+    # meet, that is tn*u_k - sn*v_k == det*w_k on every other axis k (the
+    # check is the same after tn, sn and det all change sign). This branch
+    # sets the kernel's peak, so every temporary goes as soon as it is spent.
+    wi = At[i].take(sj)
+    wi -= At[i].take(si)
+    wj = At[j].take(sj)
+    wj -= At[j].take(si)
+    tn = Ut[i].take(sj) * wj
+    t = Ut[j].take(sj)
     t *= wi
     tn -= t
-    del t
-    sn = Ut[pi, si] * wj
+    sn = Ut[i].take(si) * wj
     del wj
-    t = Ut[pj, si]
+    t = Ut[j].take(si)
     t *= wi
     sn -= t
-    del wi, pi, pj, t
-    meet = np.ones(si.size, dtype=bool)
+    del wi, t
+    neg = det < 0
+    np.negative(tn, out=tn, where=neg)
+    np.negative(sn, out=sn, where=neg)
+    det = abs(det)
+    ok = (0 < tn) & (tn < det) & (0 < sn) & (sn < det)
     for k in range(At.shape[0]):
+        if k == i or k == j:
+            continue
         lhs = Ut[k].take(si)
         lhs *= tn
         t = Ut[k].take(sj)
@@ -123,12 +110,8 @@ def _skew_crosses(At, Ut, si, sj, det, pi, pj):
         t = At[k].take(sj)
         t -= At[k].take(si)
         t *= det
-        meet &= lhs == t
-    neg = det < 0
-    np.negative(tn, out=tn, where=neg)
-    np.negative(sn, out=sn, where=neg)
-    det = abs(det)
-    return meet & (0 < tn) & (tn < det) & (0 < sn) & (sn < det)
+        ok &= lhs == t
+    return ok
 
 
 def _parallel_crosses(At, Ut, si, sj):
@@ -160,20 +143,27 @@ def _crossing_rows(At, Ut, si, sj):
     At and Ut are (dim, m) arrays: column e holds the start a and the
     direction b - a of segment e.
     """
-    # the first nonzero 2x2 minor over the axis pairs (mi[p], mj[p]), none
-    # in one dimension, as in geom.segments_cross; skew and parallel rows
-    # each take their own branch
-    mi, mj = np.array([*combinations(range(At.shape[0]), 2)], dtype=np.intp).reshape(-1, 2).T
-    det, piv = _pivot_minor(Ut, si, sj, mi, mj)
+    # one pass per axis pair (i, j) in order, as in geom.segments_cross: the
+    # 2x2 minor det = v_i*u_j - u_i*v_j on the rows whose earlier minors are
+    # all 0. Where it is nonzero, (i, j) is the pivot; the rows left after
+    # the last pass (all rows in one dimension) are parallel.
     out = np.zeros(si.size, dtype=bool)
-    par = np.flatnonzero(det == 0)
-    skew = np.flatnonzero(det)
-    det, piv = det[skew], piv[skew]
-    if skew.size:
-        out[skew] = _skew_crosses(At, Ut, si[skew], sj[skew], det, mi[piv], mj[piv])
-    del det, piv, skew  # the parallel branch runs without them
-    if par.size:
-        out[par] = _parallel_crosses(At, Ut, si[par], sj[par])
+    rows = np.arange(si.size)
+    for i, j in combinations(range(At.shape[0]), 2):
+        det = Ut[i].take(sj) * Ut[j].take(si)
+        t = Ut[i].take(si)
+        t *= Ut[j].take(sj)
+        det -= t
+        del t
+        skew = det.nonzero()[0]
+        if skew.size:
+            out[rows[skew]] = _skew_crosses(At, Ut, si[skew], sj[skew], det[skew], i, j)
+        par = (det == 0).nonzero()[0]
+        del det, skew
+        rows, si, sj = rows[par], si[par], sj[par]
+        if not rows.size:
+            return out
+    out[rows] = _parallel_crosses(At, Ut, si, sj)
     return out
 
 
@@ -195,11 +185,20 @@ def _endpoints(A, B, limit=2 * SAFE_COORD):
     return P.astype(np.int64) if P.max() <= limit else P
 
 
+def _boxes(A, B):
+    # the (dim, m) low and high box corners of the segments A[e] -> B[e],
+    # their coordinates in [0, spread]. They are only compared, so they take
+    # the smallest type that holds the spread: uint8 on small drawings,
+    # object past uint64.
+    hi = np.maximum(A, B).T
+    box = np.min_scalar_type(hi.max())
+    return np.minimum(A, B).T.astype(box, order="C"), hi.astype(box, order="C")
+
+
 def _pairs(P):
     A, B = P
     m, dim = A.shape
-    lo = np.minimum(A, B)
-    hi = np.maximum(A, B)
+    lo, hi = _boxes(A, B)
     At = np.ascontiguousarray(A.T)
     Ut = np.ascontiguousarray((B - A).T)
     if dim >= 3:
@@ -213,11 +212,12 @@ def _pairs(P):
         i1 = min(m, i0 + BLOCK)
         for j0 in range(i0, m, BLOCK):
             j1 = min(m, j0 + BLOCK)
-            mask = (np.arange(i0, i1)[:, None] < np.arange(j0, j1)[None, :])
+            # only a diagonal tile holds pairs with i >= j
+            mask = np.arange(i0, i1)[:, None] < np.arange(j0, j1) if j0 == i0 else True
             for ax in range(dim):
-                mask &= lo[j0:j1, ax][None, :] <= hi[i0:i1, ax][:, None]
-                mask &= lo[i0:i1, ax][:, None] <= hi[j0:j1, ax][None, :]
-            if dim >= 3:
+                mask &= lo[ax, j0:j1] <= hi[ax, i0:i1, None]
+                mask &= lo[ax, i0:i1, None] <= hi[ax, j0:j1]
+            if dim >= 3 and mask.any():
                 mask &= L[i0:i1] @ R[:, j0:j1] == 0
             # the survivors' flat indices, in the smallest type that holds them
             flat = np.flatnonzero(mask).astype(np.min_scalar_type(mask.size - 1))

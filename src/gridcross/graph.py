@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass
+from math import gcd
 
 from .errors import ImproperGraphError, ValidationError, is_integer
 from .geom import gcd_reduce, point_on_open_segment
@@ -99,8 +100,8 @@ def validate_proper(g: GridGraph):
     """
     violations = []
     for edge in g.edges:
-        seg = g.segment(edge)
-        if gcd_reduce(seg)[1] == 1:
+        a, b = seg = g.segment(edge)
+        if gcd(*map(operator.sub, b, a)) == 1:
             continue
         for idx, x in enumerate(g.vertices):
             if idx in edge:

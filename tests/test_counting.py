@@ -337,6 +337,14 @@ def test_pruned_matches_naive_on_sheared_graphs_past_int64(sides):
         assert count_crossings_naive(sheared, check_proper=False) == ref
 
 
+def _point(d, *entries):
+    # the d-dimensional point with coordinate x on axis k, for each (k, x)
+    p = [0] * d
+    for k, x in entries:
+        p[k] += x
+    return tuple(p)
+
+
 @pytest.mark.parametrize("d", [4, 5], ids=["4d", "5d"])
 def test_kernel_decides_pairs_parallel_on_the_first_three_axes(d):
     # u and v are parallel on axes 0..d-2, so every 2x2 minor there and the
@@ -344,15 +352,9 @@ def test_kernel_decides_pairs_parallel_on_the_first_three_axes(d):
     # every pair below meets at t = s = 1/2. Each skew pair moves c and d of
     # the crossing pair one unit along an axis k outside the pivot, and only
     # the meet check on that axis, tn*u_k - sn*v_k == det*w_k, rejects it.
-    def point(*entries):  # the point with coordinate x on axis k, for each (k, x)
-        p = [0] * d
-        for k, x in entries:
-            p[k] += x
-        return tuple(p)
-
-    a, b = point(), point((0, 2), (d - 1, 2))
-    crossing = (a, b, point((d - 1, 2)), point((0, 2)))
-    skews = [(a, b, point((d - 1, 2), (k, 1)), point((0, 2), (k, 1))) for k in range(1, d - 1)]
+    a, b = _point(d), _point(d, (0, 2), (d - 1, 2))
+    crossing = (a, b, _point(d, (d - 1, 2)), _point(d, (0, 2)))
+    skews = [(a, b, _point(d, (d - 1, 2), (k, 1)), _point(d, (0, 2), (k, 1))) for k in range(1, d - 1)]
     for pair in (crossing, *skews):
         u, v, w = _uvw(*pair)
         assert u[:d - 1] == v[:d - 1] and _det3(u, v, w, (0, 1, 2)) == 0
@@ -365,6 +367,71 @@ def test_kernel_decides_pairs_parallel_on_the_first_three_axes(d):
     assert segments_cross(crossing[:2], crossing[2:]).kind is CrossKind.POINT_CROSS
     assert _kernel_agrees_with_geom([crossing, *skews]) == []
     assert _kernel_agrees_with_geom([crossing, *skews], offset=2 ** 64, dtype=object) == []
+
+
+@pytest.mark.parametrize("d", [3, 4, 5], ids=["3d", "4d", "5d"])
+def test_kernel_decides_skew_pairs_on_every_pivot(d):
+    # For each axis pair (i, j), u and v are 0 off axes i and j, so the
+    # 2x2 minor on (i, j) is the only nonzero one and (i, j) is the pivot:
+    # every earlier pivot pass leaves the pair to the next. On axes i and j
+    # the segments cross at t = 3/5, s = 2/5. Each skew twin moves c and d
+    # one unit along an axis k outside the pivot, and only the meet check on
+    # that axis, tn*u_k - sn*v_k == det*w_k, rejects it.
+    pairs = []
+    for i, j in combinations(range(d), 2):
+        a, b, c, e = _point(d), _point(d, (i, 3), (j, 3)), _point(d, (i, 1), (j, 3)), _point(d, (i, 3))
+        u, v, w = _uvw(a, b, c, e)
+        minors = {(p, q): v[p] * u[q] - u[p] * v[q] for p, q in combinations(range(d), 2)}
+        assert [pq for pq, x in minors.items() if x] == [(i, j)]
+        det, tn, sn = minors[i, j], v[i] * w[j] - v[j] * w[i], u[i] * w[j] - u[j] * w[i]
+        assert (tn, sn, det) == (9, 6, 15)
+        assert segments_cross((a, b), (c, e)).kind is CrossKind.POINT_CROSS
+        pairs.append((a, b, c, e))
+        for k in sorted(set(range(d)) - {i, j}):
+            skew = (a, b, _point(d, (i, 1), (j, 3), (k, 1)), _point(d, (i, 3), (k, 1)))
+            u, v, w = _uvw(*skew)
+            assert [q for q in range(d) if tn * u[q] - sn * v[q] != det * w[q]] == [k]
+            assert not segments_cross(skew[:2], skew[2:]).is_crossing
+            pairs.append(skew)
+    assert len(pairs) == d * (d - 1) // 2 * (d - 1)
+    assert _kernel_agrees_with_geom(pairs) == []
+    assert _kernel_agrees_with_geom(pairs, offset=2 ** 64, dtype=object) == []
+    assert _tiles_agree_with_geom(pairs) == []
+
+
+@pytest.mark.parametrize("spread, box, kernel", [
+    (255, np.uint8, np.int64), (256, np.uint16, np.int64), (65535, np.uint16, np.int64),
+    (65536, np.uint32, np.int64), (2 * C, np.uint32, np.int64), (2 * C + 1, np.uint32, object),
+    (2 ** 64 - 1, np.uint64, object), (2 ** 64, object, object),
+])
+def test_box_arrays_take_the_smallest_type_that_holds_the_spread(monkeypatch, spread, box, kernel):
+    # The edges' endpoints span x in {1, 2} and y and z in 1..4. Scaling x by
+    # the spread and y and z by spread // 3 keeps every crossing and every box
+    # contact and sets the spread to exactly `spread`, on x. The edges in the
+    # plane x = 2 * spread have the box [spread, spread] on x once the kernel
+    # moves the origin: their boxes touch the others' exactly at the largest
+    # value the box type must hold, and six pairs of them cross.
+    base = random_proper_graph((2, 4, 4), m=30, seed=1)
+    f = spread // 3
+    g = make_grid_graph(3, [(spread * x, f * y, f * z) for x, y, z in base.vertices], base.edges)
+    ends = [g.vertices[v] for e in g.edges for v in e]
+    assert max(max(col) - min(col) for col in zip(*ends)) == spread
+    top = [seg for seg in g.segments() if seg[0][0] == seg[1][0] == 2 * spread]
+    assert len(top) == 9 and sum(segments_cross(*pair).is_crossing for pair in combinations(top, 2)) == 6
+    corners = _kernels._boxes
+    dtypes = []
+
+    def spy(A, B):
+        lo, hi = corners(A, B)
+        dtypes.append((lo.dtype, hi.dtype))
+        return lo, hi
+
+    monkeypatch.setattr(_kernels, "_boxes", spy)
+    rep = count_crossings_pruned(g)
+    ref = count_crossings_naive(g)
+    assert dtypes == [(np.dtype(box), np.dtype(box))] and rep.dtype == np.dtype(kernel).name
+    assert ref.total == count_crossings_naive(base).total > 0
+    assert (rep.total, rep.per_edge) == (ref.total, ref.per_edge)
 
 
 def test_crossing_pair_with_int64_overflowing_determinant_terms_is_counted():
