@@ -1,7 +1,7 @@
 """Exact crossing machinery for geometric graphs on integer grids.
 
 Counts crossings of straight-line drawings with lattice vertices (a naive
-rational-arithmetic reference and a pruned int64 fast path that always agree),
+rational-arithmetic reference and a pruned fixed-width fast path that always agree),
 evaluates lower-bound certificates, generates the extremal two-layer
 constructions, verifies the totient-sum inequalities behind the 3-d bound,
 and enumerates crossing-free subgraphs, matchings, and spanning trees on

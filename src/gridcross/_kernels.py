@@ -5,7 +5,7 @@ endpoints. A block-vectorized filter selects the candidate pairs, and one
 batched exact classification, the array counterpart of the rational one in
 geom, decides them. The filter keeps the pairs whose bounding boxes meet
 and, in three or more dimensions, whose 3x3 minor det[u, v, w] on axes
-0..2 (below) is 0, by one integer matmul per tile: L @ R = -det[u, v, w]
+0..2 (below) is 0, by one integer product per tile: L @ R = -det[u, v, w]
 there for the Pluecker coordinates L = (u, a x u) and R = (c x v, v). The
 box corners are only compared, so they are stored in the smallest type
 that holds the spread (below): uint8 on the benchmark drawings.
@@ -26,51 +26,60 @@ s in (0, 1), with w = c - a, it takes the steps of geom.segments_cross:
 * parallel pairs, without a pivot: the supports must be collinear and the
   open projections on the axis where |u| is largest must overlap.
 
-The same code runs on int64 arrays when the spread of the coordinates (the
-largest max - min over the axes) is at most 2C, C = SAFE_COORD, and on
-object arrays of Python ints, which never wrap around, otherwise. Endpoints
-that fit int64 go into int64 arrays directly; only the others, and spreads
-past 2C, pass through Python ints. The int64 path is exact because after
-the translation every coordinate lies in [0, 2C], so every entry of
-u = b - a, v = d - c, w = c - a and d - a is at most 2C in magnitude. Then
-every 2x2 minor, det, tn and sn among them, is at most 8C^2, and every
-product of a 2x2 minor with an entry is at most 16C^3 < 2^63: no single
-product overflows. The only sums that may wrap around are the tile
-filter's L @ R and the meet check's tn*u_k - sn*v_k - det*w_k, and each is
-+- a 3x3 minor of [u, v, w]: a x u and c x v are 2x2 minors, so each of
-the six products of L @ R is at most 16C^3, and the meet difference is the
-minor that borders the pivot with axis k. Only their comparison with 0 is
-used. int64 arithmetic is exact modulo 2^64, and a 3x3 determinant with
-entries of magnitude at most 2C is at most 4*(2C)^3 = 32C^3 < 2^64 in
-magnitude, so each computes as 0 exactly when it is 0.
+The same code runs on signed integer arrays of the narrowest width that
+is exact at the spread S of the coordinates (the largest max - min over
+the axes): int16 up to S = 31, int32 up to S = 1290, int64 up to
+S = 2C, C = SAFE_COORD, and object arrays of Python ints, which never
+wrap around, past 2C. Endpoints that fit int64 are gathered from one int64
+array of the points; only the others, and spreads past 2C, pass through
+Python ints. After the translation every coordinate lies in [0, S], so
+every entry of u = b - a, v = d - c, w = c - a and d - a is at most S in
+magnitude, every 2x2 minor (det, tn and sn among them) at most 2S^2, and
+every product of an entry with an entry at most S^2: every value that is
+ordered or whose sign is read fits the type. The only sums that may wrap
+around are the tile filter's L @ R and the meet check's
+tn*u_k - sn*v_k - det*w_k, and each is +- a 3x3 minor of [u, v, w]: the
+product L @ R is -det[u, v, w] on axes 0..2, and the meet difference is
+the minor that borders the pivot with axis k. Only their comparison with 0
+is used. On three axes det[u, v, w] = +- det[b - a, c - a, d - a] is six
+times the volume of the tetrahedron abcd in [0, S]^3, at most S^3/3 (the
+determinant is affine in each vertex, so its largest value sits at cube
+corners), so |det| <= 2S^3; opposite edges of the regular tetrahedron
+(0, 0, 0), (S, S, 0), (S, 0, S), (0, S, S) reach it. Integer arithmetic is
+exact modulo 2^bits, so each computes as 0 exactly when it is 0 while
+2S^3 < 2^bits: 2 * 31^3 < 2^16, 2 * 1290^3 < 2^32 and 2 * (2C)^3 < 2^64.
+The tile product goes through einsum, which has a fast integer loop
+where numpy's integer matmul has none.
 
-The working set is fixed. Apart from O(m*d) copies of the endpoints and the
-12 Pluecker entries per segment, the kernel holds one tile and one chunk at
-a time. A tile of the filter is at most BLOCK x BLOCK = 2^16 pairs: its
-int64 matmul product takes 512 KiB and is freed before the tile's chunks
-run, and the flat index of its survivors takes at most 128 KiB. A chunk
-sends at most BATCH = 2^14 of them to the exact classification, which
-works one axis or one minor at a time on the rows of one pivot pass. It
-keeps about 12 live entries per chunk row at its peak in 2-d to 5-d on
-skew rows, and 12-15 on parallel rows. So for d <= 4 the transient arrays
-stay under 4 MB on the int64 path, whatever m is and however many pairs
-survive; that worst case needs nearly every pair of a tile to pass both
-filters. tracemalloc peaks of count_pairs are 0.9-1.3 MiB on the layered
-and tiled drawings, at most 2.3 MiB on graphs of up to 4096 edges in 2-d
-to 4-d, and 2.3-2.8 MiB on a fan of 2500 segments in one plane, in 2-d to
-5-d, whose boxes nearly all overlap. On the object path the same arrays
-hold the same number of entries, each a Python int.
+The working set is fixed. Apart from O(m*d) copies of the endpoints, the
+12 Pluecker entries and the axis of largest |u| per segment, the kernel
+holds one tile and one chunk at a time. A tile of the filter is at most
+BLOCK x BLOCK = 2^16 pairs: its product takes 128 KiB in int16 (512 KiB in
+int64) and is freed before the tile's chunks run, and the flat index of
+its survivors takes at most 128 KiB. A chunk sends at most BATCH = 2^14 of
+them to the exact classification, which works one axis or one minor at a
+time on the rows of one pivot pass. At its peak it keeps about 12
+int64-sized entries per chunk row in 2-d to 5-d on int64 arrays, skew or
+parallel rows, and 6-7 on int16 arrays, where the row indices stay 8
+bytes. So for d <= 4 the transient arrays stay under 4 MB on the int64
+path, whatever m is and however many pairs survive; that worst case needs
+nearly every pair of a tile to pass both filters. tracemalloc peaks of
+count_pairs are 0.4-1.0 MiB on the layered and tiled drawings (int16), at
+most 1.8 MiB on graphs of up to 4096 edges in 2-d to 4-d, and 1.7-2.0 MiB
+on a fan of 2500 segments in one plane, in 2-d to 5-d (int32), whose
+boxes nearly all overlap. On the object path the same arrays hold the
+same number of entries, each a Python int.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
-SAFE_COORD = 800_000  # int64 runs spreads up to 2 * SAFE_COORD; 32 * SAFE_COORD^3 < 2^64
+SAFE_COORD = 800_000  # int64 runs spreads up to 2 * SAFE_COORD; 16 * SAFE_COORD^3 < 2^64
 BLOCK = 256  # segments per side of one bounding-box filter tile (<= 2^16 pairs, 128 KiB of indices)
-BATCH = 1 << 14  # candidate pairs per exact classification call (about 2 MB at d = 4)
+BATCH = 1 << 14  # candidate pairs per exact classification call (about 1.6 MB in int64)
 
 
 def _skew_crosses(At, Ut, si, sj, det, i, j):
@@ -114,11 +123,11 @@ def _skew_crosses(At, Ut, si, sj, det, i, j):
     return ok
 
 
-def _parallel_crosses(At, Ut, si, sj):
+def _parallel_crosses(At, Ut, rr, si, sj):
     # parallel directions: crossing needs collinear supports, w parallel to
-    # u, and overlapping open projections on the axis rr where |u| is
+    # u, and overlapping open projections on the axis rr[si] where |u| is
     # largest (the first such axis)
-    rr = np.argmax(abs(Ut.take(si, axis=1)), axis=0)
+    rr = rr.take(si)
     span = Ut[rr, si]
     pc = At[rr, sj] - At[rr, si]  # w on axis rr
     ok = np.ones(si.size, dtype=bool)
@@ -136,12 +145,13 @@ def _parallel_crosses(At, Ut, si, sj):
     return ok & (low < high)
 
 
-def _crossing_rows(At, Ut, si, sj):
+def _crossing_rows(At, Ut, rr, si, sj):
     """Mask of the k for which segment si[k] (a + t*u) crosses segment
     sj[k] (c + s*v): a proper point cross or a collinear overlap.
 
     At and Ut are (dim, m) arrays: column e holds the start a and the
-    direction b - a of segment e.
+    direction b - a of segment e, and rr[e] is the first axis where |b - a|
+    is largest.
     """
     # one pass per axis pair (i, j) in order, as in geom.segments_cross: the
     # 2x2 minor det = v_i*u_j - u_i*v_j on the rows whose earlier minors are
@@ -163,26 +173,37 @@ def _crossing_rows(At, Ut, si, sj):
         rows, si, sj = rows[par], si[par], sj[par]
         if not rows.size:
             return out
-    out[rows] = _parallel_crosses(At, Ut, si, sj)
+    out[rows] = _parallel_crosses(At, Ut, rr, si, sj)
     return out
 
 
-def _endpoints(A, B, limit=2 * SAFE_COORD):
-    # the (2, m, d) array of the m >= 1 points A and B moved to their
-    # minimum corner: int64 when the spread is at most limit (< 2^63), Python
-    # ints otherwise; only coordinates past int64 go through Python ints first
+def _width(spread):
+    # the narrowest signed type whose modulus exceeds 2 * spread^3 (module
+    # docstring), int64 past 2^32: int16 to spread 31, int32 to 1290
+    bound = 2 * spread ** 3
+    return np.int16 if bound < 1 << 16 else np.int32 if bound < 1 << 32 else np.int64
+
+
+def _endpoints(V, E, limit=2 * SAFE_COORD):
+    # the (2, m, d) array of the endpoints V[a] and V[b] of the m >= 1 edges
+    # (a, b) in E, moved to their minimum corner: in the _width of their
+    # spread while it is at most limit (< 2^63), Python ints otherwise; only
+    # points past int64 go through Python ints first
+    E = np.fromiter(chain.from_iterable(E), np.intp, 2 * len(E)).reshape(-1, 2).T
     try:
-        P = np.array([A, B], dtype=np.int64)
+        P = np.fromiter(chain.from_iterable(V), np.int64, len(V) * len(V[0])).reshape(len(V), -1)[E]
     except OverflowError:
-        pass
+        P = np.array(V, dtype=object)[E]
     else:
         lo = P.min(axis=(0, 1))
-        if max(int(h) - int(l) for h, l in zip(P.max(axis=(0, 1)), lo)) <= limit:
+        spread = max(int(h) - int(l) for h, l in zip(P.max(axis=(0, 1)), lo))
+        if spread <= limit:
             P -= lo
-            return P
-    P = np.array([A, B], dtype=object)
+            return P.astype(_width(spread), copy=False)
+        P = P.astype(object)
     P = P - P.min(axis=(0, 1))
-    return P.astype(np.int64) if P.max() <= limit else P
+    spread = P.max()
+    return P.astype(_width(spread)) if spread <= limit else P
 
 
 def _boxes(A, B):
@@ -201,6 +222,7 @@ def _pairs(P):
     lo, hi = _boxes(A, B)
     At = np.ascontiguousarray(A.T)
     Ut = np.ascontiguousarray((B - A).T)
+    rr = np.argmax(abs(Ut), axis=0)
     if dim >= 3:
         # Pluecker coordinates (u, a x u) of segment i and (c x v, v) of
         # segment j, on axes 0..2: L[i] @ R[:, j] is -det[u, v, c - a] there,
@@ -218,37 +240,39 @@ def _pairs(P):
                 mask &= lo[ax, j0:j1] <= hi[ax, i0:i1, None]
                 mask &= lo[ax, i0:i1, None] <= hi[ax, j0:j1]
             if dim >= 3 and mask.any():
-                mask &= L[i0:i1] @ R[:, j0:j1] == 0
+                mask &= np.einsum("ik,kj->ij", L[i0:i1], R[:, j0:j1]) == 0
             # the survivors' flat indices, in the smallest type that holds them
             flat = np.flatnonzero(mask).astype(np.min_scalar_type(mask.size - 1))
             for c0 in range(0, flat.size, BATCH):
                 si, sj = np.divmod(flat[c0:c0 + BATCH].astype(np.intp), j1 - j0)
                 si += i0
                 sj += j0
-                crossed = _crossing_rows(At, Ut, si, sj)
+                crossed = _crossing_rows(At, Ut, rr, si, sj)
                 yield si[crossed], sj[crossed]
 
 
-def crossing_pairs(A, B):
+def crossing_pairs(V, E):
     """Yield (si, sj) index arrays, si < sj elementwise, of the crossing pairs
-    among the open segments A[e] -> B[e]; each crossing pair comes once.
+    among the open segments V[a] -> V[b] of the edges (a, b) in E; each
+    crossing pair comes once.
 
-    A and B hold m points of d integer coordinates each (sequences or
-    arrays), of any magnitude.
+    V holds points of d integer coordinates each (a sequence or an array),
+    of any magnitude, and E pairs of indices into V.
     """
-    if len(A) >= 2:
-        yield from _pairs(_endpoints(A, B))
+    if len(E) >= 2:
+        yield from _pairs(_endpoints(V, E))
 
 
-def count_pairs(A, B):
-    """Count crossing pairs among m segments A[e] -> B[e]; returns
-    (total, per_edge, dtype): per_edge an int64 array of length m, and dtype
-    the kernel's array type, "int64" or "object" (None with fewer than two
-    segments, where no arrays are built)."""
-    per_edge = np.zeros(len(A), dtype=np.int64)
-    if len(A) < 2:
+def count_pairs(V, E):
+    """Count crossing pairs among the segments V[a] -> V[b] of the m edges
+    (a, b) in E; returns (total, per_edge, dtype): per_edge an int64 array
+    of length m, and dtype the kernel's array type, "int16", "int32",
+    "int64" or "object" (None with fewer than two segments, where no arrays
+    are built)."""
+    per_edge = np.zeros(len(E), dtype=np.int64)
+    if len(E) < 2:
         return 0, per_edge, None
-    P = _endpoints(A, B)
+    P = _endpoints(V, E)
     total = 0
     for si, sj in _pairs(P):
         total += si.size

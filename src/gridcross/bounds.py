@@ -15,13 +15,15 @@ Three certificate kinds bound crs(G) from below on a concrete graph:
   alone (the formula kind bounds the minimum over all graphs of a given
   size, not a specific graph).
 
-Both bucket kinds sort one array per level. With the endpoints moved to
-their minimum corner, a the start and u = b - a of an edge, the level-p
-point at parameter i/p, gcd(i, p) = 1, is n/p for the row n = p*a + i*u,
-and the runs of equal rows are the buckets. Each entry of n lies in
-[0, p * spread], spread the largest max - min over the axes, so the arrays
-are int64 when p_max * spread <= 2^63 - 1 and object arrays of Python ints
-otherwise (BoundCertificate.dtype). numpy loads on the first pass.
+Both bucket kinds sort one array of keys per level. With the endpoints
+moved to their minimum corner, a the start and u = b - a of an edge, the
+level-p point at parameter i/p, gcd(i, p) = 1, is n/p for the row
+n = p*a + i*u. Each entry of n lies in [0, p_max * S], S the spread (the
+largest max - min over the axes), so the key n @ base^(0..d-1) in base
+p_max * S + 1 is one-to-one on the rows, and the runs of equal keys are the
+buckets. The keys lie in [0, base^d), so they are int64 when
+base^d <= 2^63 and object arrays of Python ints otherwise
+(BoundCertificate.dtype). numpy loads on the first pass.
 """
 
 from __future__ import annotations
@@ -40,21 +42,21 @@ class BoundCertificate:
     value: Fraction
     p_max: int | None = None
     incidence: tuple | None = None  # ((p, level-p points over all edges), ...) for essential-pgrid
-    # the bucket arrays' type, "int64" or "object" by the module docstring's
+    # the bucket keys' type, "int64" or "object" by the module docstring's
     # rule, None for a closed form; it says how, not what, so == ignores it
     dtype: str | None = field(default=None, compare=False, repr=False)
 
 
 def _edges(g: GridGraph):
     """(P, bad): P the (2, m, d) array of g's edge endpoints moved to their
-    minimum corner, int64 when the spread fits int64 and Python ints
-    otherwise, and bad the indices of the non-primitive edges."""
+    minimum corner, a fixed-width integer type when the spread fits int64
+    and Python ints otherwise, and bad the indices of the non-primitive
+    edges."""
     import numpy as np
 
     from . import _kernels
     if g.edges:
-        P = _kernels._endpoints(*([g.vertices[v] for v in e] for e in zip(*g.edges)),
-                                np.iinfo(np.int64).max)
+        P = _kernels._endpoints(g.vertices, g.edges, np.iinfo(np.int64).max)
     else:
         P = np.zeros((2, 0, g.dim), dtype=np.int64)
     return P, np.flatnonzero(np.gcd.reduce(P[1] - P[0], axis=1) != 1)
@@ -62,21 +64,20 @@ def _edges(g: GridGraph):
 
 def _levels(P, p_max: int):
     """(dtype, pairs, points) for the edges P of _edges: at level p = 1..p_max,
-    points[p - 1] counts the rows n of all edges and pairs[p - 1] sums C(R, 2)
-    over the sizes R of the runs of equal rows."""
+    points[p - 1] counts the keys of the rows n of all edges and pairs[p - 1]
+    sums C(R, 2) over the sizes R of the runs of equal keys."""
     import numpy as np
-    if P.size and P.max() > np.iinfo(np.int64).max // p_max:
-        P = P.astype(object)
-    a, u = P[0], P[1] - P[0]
+    d = P.shape[2]
+    base = p_max * int(P.max(initial=0)) + 1
+    w = np.array([base ** k for k in range(d)], dtype=np.int64 if base ** d <= 2 ** 63 else object)
+    ka, ku = P[0] @ w, (P[1] - P[0]) @ w  # the key of n = p*a + i*u is p*ka + i*ku
     levels = [(0, 0)]  # level 1: i runs over 1..p - 1, so no rows
     for p in range(2, p_max + 1):
-        i = np.array([i for i in range(1, p) if gcd(i, p) == 1], dtype=P.dtype)
-        n = (p * a[:, None] + i[:, None] * u[:, None]).reshape(-1, a.shape[1])
-        n = n[np.lexsort(n.T)]
-        starts = np.flatnonzero(np.r_[True, (n[1:] != n[:-1]).any(axis=1)])
-        r = np.diff(np.r_[starts, len(n)])
-        levels.append((int((r * (r - 1) // 2).sum()), len(n)))
-    return (P.dtype.name, *zip(*levels))
+        i = np.array([i for i in range(1, p) if gcd(i, p) == 1], dtype=w.dtype)
+        key = np.sort((p * ka[:, None] + i * ku[:, None]).ravel())
+        r = np.diff(np.flatnonzero(np.r_[True, key[1:] != key[:-1], True]))
+        levels.append((int((r * (r - 1) // 2).sum()), key.size))
+    return (w.dtype.name, *zip(*levels))
 
 
 def lower_bound_midpoint_bucket(g: GridGraph, check_proper: bool = True) -> BoundCertificate:

@@ -5,9 +5,10 @@ Two counters with identical results on every input:
 * count_crossings_naive - the reference: every unordered edge pair goes
   through the rational classification in geom. Pure Python, any magnitude.
 * count_crossings_pruned - the fast path: the one pair kernel in _kernels,
-  bounding-box pruning and a vectorized exact test, on int64 arrays when
-  the coordinate spread is at most 2 * SAFE_COORD and on Python ints
-  otherwise.
+  bounding-box pruning and a vectorized exact test, on the narrowest of
+  int16, int32 and int64 that is exact at the coordinate spread S (int16
+  to S = 31, int32 to S = 1290, int64 to S = 2 * SAFE_COORD) and on Python
+  ints past that.
 
 Only the fast path needs numpy, so it imports the kernel on its first call;
 importing this module, or counting naively, leaves numpy unloaded.
@@ -27,9 +28,9 @@ class CrossingReport:
     total: int
     per_edge: tuple  # crossings incident to each edge, aligned with g.edges
     method: str  # "naive" | "pruned"
-    # the kernel's array type, "int64" or "object" (Python ints past
-    # 2 * SAFE_COORD), None for naive; it says how the count was computed,
-    # not what it is, so == ignores it
+    # the kernel's array type, "int16", "int32", "int64" or "object"
+    # (Python ints past 2 * SAFE_COORD), None for naive; it says how the
+    # count was computed, not what it is, so == ignores it
     dtype: str | None = field(default=None, compare=False, repr=False)
 
     @property
@@ -59,7 +60,5 @@ def count_crossings_pruned(g: GridGraph, check_proper: bool = True) -> CrossingR
     from . import _kernels
     if check_proper:
         require_proper(g)
-    pts = g.vertices
-    total, per_edge, dtype = _kernels.count_pairs([pts[i] for i, _ in g.edges],
-                                                  [pts[j] for _, j in g.edges])
+    total, per_edge, dtype = _kernels.count_pairs(g.vertices, g.edges)
     return CrossingReport(total, tuple(per_edge.tolist()), "pruned", dtype)

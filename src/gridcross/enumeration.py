@@ -143,8 +143,7 @@ def crossing_graph(g: GridGraph) -> ConflictGraph:
 def _conflict_graph(g):
     from ._kernels import crossing_pairs
     conflicts = [0] * len(g.edges)
-    ends = [g.vertices[i] for i, _ in g.edges], [g.vertices[j] for _, j in g.edges]
-    for si, sj in crossing_pairs(*ends):
+    for si, sj in crossing_pairs(g.vertices, g.edges):
         for i, j in zip(si.tolist(), sj.tolist()):
             conflicts[i] |= 1 << j
             conflicts[j] |= 1 << i

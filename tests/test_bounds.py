@@ -314,10 +314,53 @@ def test_levels_on_graphs_of_at_most_one_edge(vertices, edges):
     assert lower_bound_midpoint_bucket(g).value == 0 == lower_bound_essential_pgrid(g, 12).value
 
 
-@pytest.mark.parametrize("S, dtype", [(2 ** 62 - 1, "int64"), (2 ** 62, "object")])
+@pytest.mark.parametrize("p_max, S, dtype", [(2, 255, "int64"), (7, 73, "int64"), (2, 256, "object")],
+                         ids=["below", "at", "above"])
+def test_bucket_key_matches_a_counter_around_2_to_the_63(p_max, S, dtype):
+    """In 7-d the key's base p_max * S + 1 is 511, 512 and 513, so base^7 is
+    just below, at and just above 2^63: the keys are int64 on the first two
+    and Python ints on the third, and every level equals the Counter's. The
+    points lie in {0, S} x {0, 1, 2}^6, and each random edge a -> b comes
+    with a twin that swaps one coordinate of a and b, so the two share their
+    midpoint."""
+    d = 7
+    assert [(p_max * S + 1) ** d > 2 ** 63, (p_max * S + 1) ** d == 2 ** 63] == [
+        dtype == "object", (p_max, S) == (7, 73)]
+    rng = random.Random(S)
+    segs = set()
+    for _ in range(12):
+        a, b = ([rng.choice((0, S))] + [rng.randrange(3) for _ in range(d - 1)] for _ in range(2))
+        segs.add((tuple(a), tuple(b)))
+        k = rng.randrange(d)
+        a[k], b[k] = b[k], a[k]
+        segs.add((tuple(a), tuple(b)))
+    points = sorted({v for seg in segs for v in seg})
+    edges = {tuple(sorted(map(points.index, seg))) for seg in segs if seg[0] != seg[1]}
+    g = make_grid_graph(d, points, sorted(edges))
+    P = bounds._edges(g)[0]
+    assert P.max() == S
+    got, *levels = bounds._levels(P, p_max)
+    assert got == dtype and levels == _counter_levels(g.segments(), p_max)
+    assert sum(levels[0]) > 0
+
+
+def test_bucket_key_separates_rows_that_differ_in_one_coordinate():
+    """Level-2 rows a + b, spread S = 2 and key base 2 S + 1 = 5: (2, 1) and
+    (2, 2) differ only in their last coordinate, and (4, 2) and (0, 3) would
+    share the key 12 in base 2 S. Only the two rows (2, 2) share a bucket."""
+    g = make_grid_graph(2, [(2, 0), (2, 2), (0, 1), (0, 2), (0, 0), (2, 1), (1, 0), (1, 2)],
+                        [(0, 1), (2, 3), (4, 5), (2, 5), (6, 7)])
+    rows = sorted(tuple(x + y for x, y in zip(*seg)) for seg in g.segments())
+    assert rows == [(0, 3), (2, 1), (2, 2), (2, 2), (4, 2)]
+    levels = bounds._levels(bounds._edges(g)[0], 2)
+    assert levels == ("int64", (0, 1), (0, 5)) and levels[1:] == tuple(_counter_levels(g.segments(), 2))
+
+
+@pytest.mark.parametrize("S, dtype", [(1518500249, "int64"), (1518500250, "object"), (2 ** 62, "object")])
 def test_bucket_arrays_are_int64_while_p_max_times_spread_fits(S, dtype):
     # the diagonals of an S x 1 box cross at their common midpoint; the
-    # spread is S, so the level-2 arrays are int64 iff 2 S <= 2^63 - 1
+    # spread is S, so the level-2 keys, in base 2 S + 1 over two axes, are
+    # int64 iff (2 S + 1)^2 <= 2^63, that is S <= 1518500249
     g = make_grid_graph(2, [(0, 0), (S, 1), (S, 0), (0, 1)], [(0, 1), (2, 3)])
     mid, pgrid = lower_bound_midpoint_bucket(g), lower_bound_essential_pgrid(g, 2)
     assert mid.dtype == pgrid.dtype == dtype

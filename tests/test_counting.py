@@ -5,7 +5,7 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gridcross import _kernels
@@ -22,7 +22,7 @@ from gridcross.graph import make_grid_graph, validate_proper
 C = _kernels.SAFE_COORD
 
 # Scaling a drawing keeps every crossing. At scale 1 the fixtures run on the
-# kernel's int64 arrays. At scale 2 * SAFE_COORD every fixture whose edge
+# kernel's int16 arrays. At scale 2 * SAFE_COORD every fixture whose edge
 # endpoints span more than one unit on some axis has a spread past the int64
 # range, so the same fixtures check the kernel on Python ints. The ids name
 # the path that scale is for.
@@ -110,26 +110,28 @@ def test_pruned_matches_naive_bulk_500():
         assert got.per_edge == ref.per_edge
 
 
-def _endpoints(g):
-    return [g.vertices[i] for i, _ in g.edges], [g.vertices[j] for _, j in g.edges]
+def _segments(A, B):
+    # the kernel's points and edges for the segments A[k] -> B[k]
+    return [*A, *B], [(k, len(A) + k) for k in range(len(A))]
 
 
-@pytest.mark.parametrize("build, total", [
-    pytest.param(lambda: layered_complete_bipartite(6, 3), 27622, id="layered-k6-d3"),
-    pytest.param(lambda: layered_complete_bipartite(3, 4), 4533, id="layered-k3-d4"),
-    pytest.param(lambda: tile_bipartite(4, 8, 3), 6960, id="tiled-k4-s8-d3"),
-    pytest.param(lambda: layered_complete_bipartite(8, 3), 188024, id="layered-k8-d3"),
-    pytest.param(lambda: layered_complete_bipartite(4, 4), 68856, id="layered-k4-d4"),
-    pytest.param(lambda: layered_complete_bipartite(40, 2), 608400, id="layered-k40-d2"),
-    pytest.param(lambda: random_proper_graph((40, 40), 3000, 1), 1023315, id="random-40x40"),
+# the drawings' spreads are 2 to 7, and 39 on the two 40-wide grids
+@pytest.mark.parametrize("build, total, dtype", [
+    pytest.param(lambda: layered_complete_bipartite(6, 3), 27622, "int16", id="layered-k6-d3"),
+    pytest.param(lambda: layered_complete_bipartite(3, 4), 4533, "int16", id="layered-k3-d4"),
+    pytest.param(lambda: tile_bipartite(4, 8, 3), 6960, "int16", id="tiled-k4-s8-d3"),
+    pytest.param(lambda: layered_complete_bipartite(8, 3), 188024, "int16", id="layered-k8-d3"),
+    pytest.param(lambda: layered_complete_bipartite(4, 4), 68856, "int16", id="layered-k4-d4"),
+    pytest.param(lambda: layered_complete_bipartite(40, 2), 608400, "int32", id="layered-k40-d2"),
+    pytest.param(lambda: random_proper_graph((40, 40), 3000, 1), 1023315, "int32", id="random-40x40"),
 ])
-def test_kernel_working_set_does_not_grow_with_m(build, total):
+def test_kernel_working_set_does_not_grow_with_m(build, total, dtype):
     """One tracemalloc bound holds from m = 729 to m = 4096 edges, in 2-d, 3-d
     and 4-d, with 4533 to a million crossing pairs: the kernel holds one
     tile and one chunk at a time (see the _kernels docstring)."""
-    A, B = _endpoints(build())
-    (got, per_edge, dtype), peak = _traced_peak(_kernels.count_pairs, A, B)
-    assert got == total and per_edge.sum() == 2 * total and dtype == "int64"
+    g = build()
+    (got, per_edge, ran), peak = _traced_peak(_kernels.count_pairs, g.vertices, g.edges)
+    assert got == total and per_edge.sum() == 2 * total and ran == dtype
     assert peak < 3 * 2 ** 20
 
 
@@ -159,7 +161,7 @@ def test_kernel_working_set_at_its_worst_case():
     and 4-d, so all three count the same pairs on the same edges."""
     per_edges = []
     for dim in (2, 3, 4):
-        (total, per_edge, _), peak = _traced_peak(_kernels.count_pairs, *_coplanar_fan(dim))
+        (total, per_edge, _), peak = _traced_peak(_kernels.count_pairs, *_segments(*_coplanar_fan(dim)))
         assert total == 1529062 and per_edge.sum() == 2 * total
         assert peak < 4 * 2 ** 20
         per_edges.append(per_edge.tolist())
@@ -174,9 +176,9 @@ def test_pruned_matches_naive_across_tile_and_chunk_seams(monkeypatch):
     crossing_rows = _kernels._crossing_rows
     chunks = []
 
-    def spy(At, Ut, si, sj):
+    def spy(At, Ut, rr, si, sj):
         chunks.append(si.size)
-        return crossing_rows(At, Ut, si, sj)
+        return crossing_rows(At, Ut, rr, si, sj)
 
     monkeypatch.setattr(_kernels, "_crossing_rows", spy)
     rng = random.Random(12)
@@ -205,7 +207,7 @@ def test_pruned_huge_coordinates_fall_back_to_exact_path():
                         [(0, 1), (2, 3)])
     rep = count_crossings_pruned(g)
     assert rep.total == 1
-    total, per_edge, dtype = _kernels.count_pairs(*_endpoints(g))
+    total, per_edge, dtype = _kernels.count_pairs(g.vertices, g.edges)
     assert total == 1 and per_edge.tolist() == [1, 1] and dtype == rep.dtype == "object"
 
 
@@ -218,7 +220,7 @@ def _kernel_agrees_with_geom(pairs, offset=0, dtype=np.int64):
     At = np.concatenate([a, c]).T + offset
     Ut = np.concatenate([b - a, d - c]).T
     k = np.arange(len(pairs))
-    got = _kernels._crossing_rows(At, Ut, k, k + len(pairs))
+    got = _kernels._crossing_rows(At, Ut, np.argmax(abs(Ut), axis=0), k, k + len(pairs))
     want = [segments_cross((p, q), (r, s)).is_crossing for p, q, r, s in pairs]
     return [pair for pair, x, y in zip(pairs, got, want) if bool(x) != y]
 
@@ -233,7 +235,8 @@ def _tiles_agree_with_geom(pairs, group=64):
         n = len(chunk)
         A = [pair[0] for pair in chunk] + [pair[2] for pair in chunk]
         B = [pair[1] for pair in chunk] + [pair[3] for pair in chunk]
-        got = {int(i) for si, sj in _kernels.crossing_pairs(A, B) for i, j in zip(si, sj) if j == i + n}
+        got = {int(i) for si, sj in _kernels.crossing_pairs(*_segments(A, B))
+               for i, j in zip(si, sj) if j == i + n}
         wrong += [pair for k, pair in enumerate(chunk)
                   if (k in got) != segments_cross(pair[:2], pair[2:]).is_crossing]
     return wrong
@@ -266,7 +269,7 @@ def test_kernel_matches_geom_on_envelope_cube_edges():
     want = {(i, j) for i, j in combinations(range(len(segs)), 2)
             if segments_cross(segs[i], segs[j]).is_crossing}
     for scale in (1, 2 ** 64):
-        P = [tuple(scale * x for x in p) for p in A], [tuple(scale * x for x in q) for q in B]
+        P = _segments([tuple(scale * x for x in p) for p in A], [tuple(scale * x for x in q) for q in B])
         got = {(int(i), int(j)) for si, sj in _kernels.crossing_pairs(*P) for i, j in zip(si, sj)}
         assert got == want
         assert _kernels.count_pairs(*P)[2] == ("int64" if scale == 1 else "object")
@@ -400,7 +403,7 @@ def test_kernel_decides_skew_pairs_on_every_pivot(d):
 
 
 @pytest.mark.parametrize("spread, box, kernel", [
-    (255, np.uint8, np.int64), (256, np.uint16, np.int64), (65535, np.uint16, np.int64),
+    (255, np.uint8, np.int32), (256, np.uint16, np.int32), (65535, np.uint16, np.int64),
     (65536, np.uint32, np.int64), (2 * C, np.uint32, np.int64), (2 * C + 1, np.uint32, object),
     (2 ** 64 - 1, np.uint64, object), (2 ** 64, object, object),
 ])
@@ -450,22 +453,22 @@ def test_crossing_pair_with_int64_overflowing_determinant_terms_is_counted():
 
 def test_pruned_path_switches_exactly_past_safe_coord(monkeypatch):
     # The kernel moves the edge endpoints to their minimum corner and runs on
-    # int64 while their spread is at most 2C. Positive diagonal scalings and
-    # translations keep every crossing: x spread 4 -> 2C, y spread 13 -> 2C
-    # or 2C + 1 = 13 * 123077.
+    # int64 while their spread is at most 2C, and on int16 at spread 13.
+    # Positive diagonal scalings and translations keep every crossing: x
+    # spread 4 -> 2C, y spread 13 -> 2C or 2C + 1 = 13 * 123077.
     base = random_proper_graph((5, 14), m=30, seed=5)
     ref = count_crossings_naive(base)
     crossing_rows = _kernels._crossing_rows
     dtypes = []
 
-    def spy(At, Ut, si, sj):
+    def spy(At, Ut, rr, si, sj):
         dtypes.append(At.dtype)
-        return crossing_rows(At, Ut, si, sj)
+        return crossing_rows(At, Ut, rr, si, sj)
 
     monkeypatch.setattr(_kernels, "_crossing_rows", spy)
     cases = [((C // 2, 2 * C // 13, 0), 2 * C, np.int64),
              ((C // 2, (2 * C + 1) // 13, 0), 2 * C + 1, object),
-             ((1, 1, 10 ** 30), 13, np.int64)]
+             ((1, 1, 10 ** 30), 13, np.int16)]
     for (fx, fy, shift), spread, dtype in cases:
         g = make_grid_graph(2, [(fx * x + shift, fy * y + shift) for x, y in base.vertices],
                             base.edges)
@@ -476,6 +479,63 @@ def test_pruned_path_switches_exactly_past_safe_coord(monkeypatch):
         assert dtypes and set(dtypes) == {np.dtype(dtype)}
         assert rep.dtype == np.dtype(dtype).name and ref.dtype is None
         assert (rep.total, rep.per_edge) == (ref.total, ref.per_edge)
+
+
+# The kernel runs in the narrowest signed type whose modulus exceeds
+# 2 * spread^3, the largest |det[b - a, d - c, c - a]| in [0, spread]^3.
+WIDTHS = [("int16", 1, 31), ("int32", 32, 1290), ("int64", 1291, 2 * C), ("object", 2 * C + 1, None)]
+
+
+@pytest.mark.parametrize("S, dtype", [(31, np.int16), (32, np.int32), (1290, np.int32), (1291, np.int64)])
+def test_kernel_width_switches_where_the_regular_tetrahedron_wraps(monkeypatch, S, dtype):
+    # Opposite edges of the regular tetrahedron a, b, c, d in [0, S]^3 are
+    # skew with |det| = 2 S^3, the largest in the box: 2^16 at S = 32, which
+    # an int16 tile product reads as 0, and 2^32 + 8403046 at S = 1291, past
+    # int32's modulus. Its other edge pairs share a vertex, so they pass the
+    # tile filter and reach the exact test. The other diagonal of the face
+    # z = 0 crosses a -> b.
+    a, b, c, d = (0, 0, 0), (S, S, 0), (S, 0, S), (0, S, S)
+    u, v, w = _uvw(a, b, c, d)
+    assert abs(_det3(u, v, w, (0, 1, 2))) == 2 * S ** 3
+    g = make_grid_graph(3, [a, b, c, d, (S, 0, 0), (0, S, 0)],
+                        [*combinations(range(4), 2), (4, 5)])
+    crossing_rows = _kernels._crossing_rows
+    dtypes = set()
+
+    def spy(At, Ut, rr, si, sj):
+        dtypes.add(At.dtype)
+        return crossing_rows(At, Ut, rr, si, sj)
+
+    monkeypatch.setattr(_kernels, "_crossing_rows", spy)
+    ref = count_crossings_naive(g)
+    rep = count_crossings_pruned(g)
+    assert ref.total == 1 and (rep.total, rep.per_edge) == (ref.total, ref.per_edge)
+    assert rep.dtype == np.dtype(dtype).name and dtypes == {np.dtype(dtype)}
+    dtypes.clear()
+    got = {(int(i), int(j)) for si, sj in _kernels.crossing_pairs(g.vertices, g.edges)
+           for i, j in zip(si, sj)}
+    assert got == {(g.edges.index((0, 1)), g.edges.index((4, 5)))}
+    assert dtypes == {np.dtype(dtype)}
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_pruned_matches_naive_at_both_ends_of_every_width(data):
+    # a proper graph scaled so that its spread s lands on the lowest and the
+    # highest spread of each kernel width, then translated
+    g = data.draw(_proper_graphs())
+    assume(len(g.edges) >= 2)  # the kernel builds no arrays for fewer edges
+    ends = [g.vertices[v] for e in g.edges for v in e]
+    s = max(max(col) - min(col) for col in zip(*ends))
+    shift = data.draw(st.lists(st.integers(-2 ** 70, 2 ** 70), min_size=g.dim, max_size=g.dim))
+    ref = count_crossings_naive(g)
+    for name, low, high in WIDTHS:
+        for f in {-(-low // s), (high or 2 * low) // s}:
+            h = make_grid_graph(g.dim, [tuple(f * x + t for x, t in zip(v, shift)) for v in g.vertices],
+                                g.edges)
+            rep = count_crossings_pruned(h)
+            assert rep.dtype == name, (f * s, rep.dtype)
+            assert (rep.total, rep.per_edge) == (ref.total, ref.per_edge)
 
 
 def test_report_invariant_sum_per_edge():
