@@ -3,12 +3,16 @@
 crossing_pairs first moves the origin to the minimum corner of the
 endpoints. A block-vectorized filter selects the candidate pairs, and one
 batched exact classification, the array counterpart of the rational one in
-geom, decides them. The filter keeps the pairs whose bounding boxes meet
-and, in three or more dimensions, whose 3x3 minor det[u, v, w] on axes
+geom, decides them. The filter keeps the pairs whose open segments' boxes
+meet and, in three or more dimensions, whose 3x3 minor det[u, v, w] on axes
 0..2 (below) is 0, by one integer product per tile: L @ R = -det[u, v, w]
-there for the Pluecker coordinates L = (u, a x u) and R = (c x v, v). The
-box corners are only compared, so they are stored in the smallest type
-that holds the spread (below): uint8 on the benchmark drawings.
+there for the Pluecker coordinates L = (u, a x u) and R = (c x v, v). A box
+is kept in doubled coordinates, [2 min + 1, 2 max - 1] on an axis where the
+segment moves and [2x, 2x] where it is flat: for integer endpoints two such
+boxes meet iff the open projections meet on every axis, so a shared
+endpoint alone never passes. The corners, in [0, 2S] for the spread S
+(below), are only compared, so they take the smallest type that holds
+them: uint8 up to S = 127, which covers the benchmark drawings.
 The filter only drops pairs that the exact classification rejects; that
 classification alone decides. For the segments a + t*u and c + s*v, t and
 s in (0, 1), with w = c - a, it takes the steps of geom.segments_cross:
@@ -64,10 +68,10 @@ parallel rows, and 6-7 on int16 arrays, where the row indices stay 8
 bytes. So for d <= 4 the transient arrays stay under 4 MB on the int64
 path, whatever m is and however many pairs survive; that worst case needs
 nearly every pair of a tile to pass both filters. tracemalloc peaks of
-count_pairs are 0.4-1.0 MiB on the layered and tiled drawings (int16), at
-most 1.8 MiB on graphs of up to 4096 edges in 2-d to 4-d, and 1.7-2.0 MiB
-on a fan of 2500 segments in one plane, in 2-d to 5-d (int32), whose
-boxes nearly all overlap. On the object path the same arrays hold the
+count_pairs are 0.35-0.75 MiB on the layered and tiled drawings (int16),
+at most 1.8 MiB on graphs of up to 4096 edges in 2-d to 4-d, and
+1.8-2.0 MiB on a fan of 2500 segments in one plane, in 2-d to 5-d (int32),
+whose boxes nearly all overlap. On the object path the same arrays hold the
 same number of entries, each a Python int.
 """
 
@@ -103,10 +107,10 @@ def _skew_crosses(At, Ut, si, sj, det, i, j):
     t *= wi
     sn -= t
     del wi, t
-    neg = det < 0
-    np.negative(tn, out=tn, where=neg)
-    np.negative(sn, out=sn, where=neg)
-    det = abs(det)
+    sign = np.sign(det)
+    tn *= sign
+    sn *= sign
+    det *= sign
     ok = (0 < tn) & (tn < det) & (0 < sn) & (sn < det)
     for k in range(At.shape[0]):
         if k == i or k == j:
@@ -136,10 +140,10 @@ def _parallel_crosses(At, Ut, rr, si, sj):
         lhs *= span
         ok &= lhs == pc * Ut[k].take(si)
     pd = pc + Ut[rr, sj]  # d - a on axis rr
-    neg = span < 0
-    np.negative(span, out=span, where=neg)
-    np.negative(pc, out=pc, where=neg)
-    np.negative(pd, out=pd, where=neg)
+    sign = np.sign(span)
+    pc *= sign
+    pd *= sign
+    span *= sign
     low = np.maximum(np.minimum(pc, pd), 0)
     high = np.minimum(np.maximum(pc, pd), span)
     return ok & (low < high)
@@ -165,7 +169,7 @@ def _crossing_rows(At, Ut, rr, si, sj):
         t *= Ut[j].take(sj)
         det -= t
         del t
-        skew = det.nonzero()[0]
+        skew = (det != 0).nonzero()[0]
         if skew.size:
             out[rows[skew]] = _skew_crosses(At, Ut, si[skew], sj[skew], det[skew], i, j)
         par = (det == 0).nonzero()[0]
@@ -207,13 +211,16 @@ def _endpoints(V, E, limit=2 * SAFE_COORD):
 
 
 def _boxes(A, B):
-    # the (dim, m) low and high box corners of the segments A[e] -> B[e],
-    # their coordinates in [0, spread]. They are only compared, so they take
-    # the smallest type that holds the spread: uint8 on small drawings,
-    # object past uint64.
-    hi = np.maximum(A, B).T
+    # the (dim, m) low and high box corners of the open segments A[e] -> B[e],
+    # doubled (module docstring): open (l, h) and (l', h') meet iff
+    # 2 max(l, l') + 1 <= 2 min(h, h') - 1. Doubling cannot wrap, since
+    # 2 S^3 < 2^bits gives 2 S < 2^(bits - 1); the smallest type that holds
+    # 2 S takes the corners: uint8 up to S = 127, object from S = 2^63.
+    moves = (A != B).T
+    lo = 2 * np.minimum(A, B).T + moves
+    hi = 2 * np.maximum(A, B).T - moves
     box = np.min_scalar_type(hi.max())
-    return np.minimum(A, B).T.astype(box, order="C"), hi.astype(box, order="C")
+    return lo.astype(box, order="C"), hi.astype(box, order="C")
 
 
 def _pairs(P):
@@ -244,9 +251,10 @@ def _pairs(P):
             # the survivors' flat indices, in the smallest type that holds them
             flat = np.flatnonzero(mask).astype(np.min_scalar_type(mask.size - 1))
             for c0 in range(0, flat.size, BATCH):
-                si, sj = np.divmod(flat[c0:c0 + BATCH].astype(np.intp), j1 - j0)
+                sj = flat[c0:c0 + BATCH].astype(np.intp)
+                si = sj // (j1 - j0)
+                sj += j0 - si * (j1 - j0)
                 si += i0
-                sj += j0
                 crossed = _crossing_rows(At, Ut, rr, si, sj)
                 yield si[crossed], sj[crossed]
 

@@ -5,10 +5,11 @@ Two counters with identical results on every input:
 * count_crossings_naive - the reference: every unordered edge pair goes
   through the rational classification in geom. Pure Python, any magnitude.
 * count_crossings_pruned - the fast path: the one pair kernel in _kernels,
-  bounding-box pruning and a vectorized exact test, on the narrowest of
-  int16, int32 and int64 that is exact at the coordinate spread S (int16
-  to S = 31, int32 to S = 1290, int64 to S = 2 * SAFE_COORD) and on Python
-  ints past that.
+  a filter on the doubled boxes of the open segments (a shared endpoint
+  alone never passes; 248570 of the 839160 pairs of layered-k6-d3 pass)
+  and a vectorized exact test, on the narrowest of int16, int32 and int64
+  that is exact at the coordinate spread S (int16 to S = 31, int32 to
+  S = 1290, int64 to S = 2 * SAFE_COORD) and on Python ints past that.
 
 Only the fast path needs numpy, so it imports the kernel on its first call;
 importing this module, or counting naively, leaves numpy unloaded.

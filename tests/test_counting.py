@@ -403,17 +403,17 @@ def test_kernel_decides_skew_pairs_on_every_pivot(d):
 
 
 @pytest.mark.parametrize("spread, box, kernel", [
-    (255, np.uint8, np.int32), (256, np.uint16, np.int32), (65535, np.uint16, np.int64),
-    (65536, np.uint32, np.int64), (2 * C, np.uint32, np.int64), (2 * C + 1, np.uint32, object),
-    (2 ** 64 - 1, np.uint64, object), (2 ** 64, object, object),
+    (127, np.uint8, np.int32), (128, np.uint16, np.int32), (32767, np.uint16, np.int64),
+    (32768, np.uint32, np.int64), (2 * C, np.uint32, np.int64), (2 * C + 1, np.uint32, object),
+    (2 ** 63 - 1, np.uint64, object), (2 ** 63, object, object),
 ])
 def test_box_arrays_take_the_smallest_type_that_holds_the_spread(monkeypatch, spread, box, kernel):
     # The edges' endpoints span x in {1, 2} and y and z in 1..4. Scaling x by
-    # the spread and y and z by spread // 3 keeps every crossing and every box
-    # contact and sets the spread to exactly `spread`, on x. The edges in the
-    # plane x = 2 * spread have the box [spread, spread] on x once the kernel
-    # moves the origin: their boxes touch the others' exactly at the largest
-    # value the box type must hold, and six pairs of them cross.
+    # the spread and y and z by spread // 3 keeps every crossing and sets the
+    # spread to exactly `spread`, on x. The edges in the plane x = 2 * spread
+    # are flat on x, with the doubled box [2 * spread, 2 * spread] there once
+    # the kernel moves the origin: the largest value the box type must hold.
+    # Six pairs of them cross, so their boxes must meet at that value.
     base = random_proper_graph((2, 4, 4), m=30, seed=1)
     f = spread // 3
     g = make_grid_graph(3, [(spread * x, f * y, f * z) for x, y, z in base.vertices], base.edges)
@@ -426,15 +426,105 @@ def test_box_arrays_take_the_smallest_type_that_holds_the_spread(monkeypatch, sp
 
     def spy(A, B):
         lo, hi = corners(A, B)
-        dtypes.append((lo.dtype, hi.dtype))
+        dtypes.append((lo.dtype, hi.dtype, int(hi.max())))
         return lo, hi
 
     monkeypatch.setattr(_kernels, "_boxes", spy)
     rep = count_crossings_pruned(g)
     ref = count_crossings_naive(g)
-    assert dtypes == [(np.dtype(box), np.dtype(box))] and rep.dtype == np.dtype(kernel).name
+    assert dtypes == [(np.dtype(box), np.dtype(box), 2 * spread)] and rep.dtype == np.dtype(kernel).name
     assert ref.total == count_crossings_naive(base).total > 0
     assert (rep.total, rep.per_edge) == (ref.total, ref.per_edge)
+
+
+def _open_projections_meet(p, q, r, s, k):
+    # do the open segments p -> q and r -> s have a common value on axis k?
+    # A moving segment projects to an open interval, a flat one to a point
+    (l1, h1), (l2, h2) = sorted((p[k], q[k])), sorted((r[k], s[k]))
+    if l1 == h1 and l2 == h2:
+        return l1 == l2
+    if l1 == h1:
+        return l2 < l1 < h2
+    if l2 == h2:
+        return l1 < l2 < h1
+    return max(l1, l2) < min(h1, h2)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_open_boxes_meet_iff_the_open_projections_meet(data):
+    # pairs drawn from two to four points of [0, 3]^d: flat axes, shared
+    # endpoints, collinear pairs and touching boxes are all common here
+    dim = data.draw(st.integers(1, 4))
+    pool = data.draw(st.lists(st.tuples(*[st.integers(0, 3)] * dim), min_size=2, max_size=4, unique=True))
+    p, q, r, s = (data.draw(st.sampled_from(pool)) for _ in range(4))
+    assume(p != q and r != s)
+    meet = all(_open_projections_meet(p, q, r, s, k) for k in range(dim))
+    for dtype in (np.int16, object):
+        lo, hi = _kernels._boxes(np.array([p, r], dtype=dtype), np.array([q, s], dtype=dtype))
+        lo, hi = lo.tolist(), hi.tolist()
+        assert all(lo[k][0] <= hi[k][1] and lo[k][1] <= hi[k][0] for k in range(dim)) == meet
+    if segments_cross((p, q), (r, s)).is_crossing:
+        assert meet
+
+
+def _crossing_pairs_agree_with_geom(V, E):
+    # the pairs that crossing_pairs yields against segments_cross on every pair
+    got = sorted((int(i), int(j)) for si, sj in _kernels.crossing_pairs(V, E) for i, j in zip(si, sj))
+    segs = [(V[a], V[b]) for a, b in E]
+    want = [(i, j) for i, j in combinations(range(len(E)), 2) if segments_cross(segs[i], segs[j]).is_crossing]
+    assert got == want
+    return len(got)
+
+
+def test_open_boxes_keep_flat_and_collinear_crossings_and_drop_a_star(monkeypatch):
+    crossing_rows = _kernels._crossing_rows
+    rows = []
+
+    def spy(At, Ut, rr, si, sj):
+        rows.append(si.size)
+        return crossing_rows(At, Ut, rr, si, sj)
+
+    monkeypatch.setattr(_kernels, "_crossing_rows", spy)
+    # two diagonals crossing inside the plane z = 0, flat on z
+    assert _crossing_pairs_agree_with_geom([(0, 0, 0), (2, 2, 0), (0, 2, 0), (2, 0, 0)], [(0, 1), (2, 3)]) == 1
+    # a segment flat on y and z crossing one that moves on y and z at (1, 1, 1)
+    assert _crossing_pairs_agree_with_geom([(0, 1, 1), (2, 1, 1), (1, 0, 0), (1, 2, 2)], [(0, 1), (2, 3)]) == 1
+    # the 26 unit edges from (1, 1, 1): any two differ on some axis, where
+    # their doubled boxes are two of [1, 1], [2, 2] and [3, 3], so no pair
+    # reaches the exact test
+    rows.clear()
+    star = [(1, 1, 1)] + [o for o in product(range(3), repeat=3) if o != (1, 1, 1)]
+    assert _crossing_pairs_agree_with_geom(star, [(0, k) for k in range(1, 27)]) == 0
+    assert sum(rows) == 0
+    # a -> b and a -> c with c beyond b overlap on (a, b); the input is
+    # improper, so it goes straight to the kernel
+    V, E = [(0, 0, 0), (1, 1, 1), (2, 2, 2)], [(0, 1), (0, 2)]
+    assert segments_cross(V[:2], V[::2]).kind is CrossKind.COLLINEAR_OVERLAP
+    assert _crossing_pairs_agree_with_geom(V, E) == 1
+    assert _kernels.count_pairs(V, E)[0] == 1
+
+
+@pytest.mark.parametrize("build, rows, total", [
+    pytest.param(lambda: layered_complete_bipartite(6, 3), 42494, 27622, id="layered-k6-d3"),
+    pytest.param(lambda: layered_complete_bipartite(3, 4), 10897, 4533, id="layered-k3-d4"),
+    pytest.param(lambda: tile_bipartite(4, 8, 3), 10320, 6960, id="tiled-k4-s8-d3"),
+])
+def test_rows_that_reach_the_exact_test_on_the_benchmark_drawings(monkeypatch, build, rows, total):
+    # the pairs left by the open boxes and the coplanarity product
+    crossing_rows = _kernels._crossing_rows
+    seen = []
+
+    def spy(At, Ut, rr, si, sj):
+        crossed = crossing_rows(At, Ut, rr, si, sj)
+        seen.append((si.size, int(crossed.sum())))
+        return crossed
+
+    monkeypatch.setattr(_kernels, "_crossing_rows", spy)
+    g = build()
+    got, _, _ = _kernels.count_pairs(g.vertices, g.edges)
+    assert got == total
+    assert (sum(n for n, _ in seen), sum(c for _, c in seen)) == (rows, total)
 
 
 def test_crossing_pair_with_int64_overflowing_determinant_terms_is_counted():
